@@ -195,14 +195,8 @@ void Crossbar::program(const Tensor& weights, double w_max,
       static_cast<double>((std::uint64_t{1} << bpc) - 1);
   const device::LinearQuantizer wq(config_.weight_bits, w_max);
 
-  // Resolve the fault population: explicit params win; a VariationModel
-  // still carrying the deprecated stuck-at rates seeds a legacy map.
-  device::FaultMapParams fp = opts.faults;
-  if (!fp.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    fp = opts.variation->legacy_fault_params();
-  fault_map_ = device::FaultMap(fp);
-  if (fp.enabled())
+  fault_map_ = device::FaultMap(opts.faults);
+  if (opts.faults.enabled())
     fault_map_.bind(num_slices, bpc, config_.rows, config_.cols);
 
   col_phys_.assign(c_, kNoCol);

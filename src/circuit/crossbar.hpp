@@ -81,8 +81,7 @@ enum class DegradePolicy : unsigned char {
 // options reproduce the historical program(weights, w_max) behavior exactly.
 struct ProgramOptions {
   device::VariationModel* variation = nullptr;
-  // Fault population; !faults.enabled() means no injected faults (a
-  // VariationModel carrying legacy stuck-at rates still seeds a map).
+  // Fault population; !faults.enabled() means no injected faults.
   device::FaultMapParams faults;
   // Closed-loop program-and-verify: read back each programmed cell and
   // re-program with a compensated target while |readback - target| exceeds

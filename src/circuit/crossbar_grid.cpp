@@ -30,20 +30,11 @@ void CrossbarGrid::program(const Tensor& weights, double w_max,
   col_tiles_ = (total_cols_ + data_cols - 1) / data_cols;
   w_max_ = w_max;
 
-  // Expand the fault population once at grid level so each tile gets an
-  // independent per-tile seed below; this also covers the deprecated
-  // VariationModel stuck-at shim (whose params carry one seed per model —
-  // without the per-tile mix every tile would repeat the same pattern).
-  device::FaultMapParams base = opts.faults;
-  if (!base.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    base = opts.variation->legacy_fault_params();
-
   arrays_.clear();
   arrays_.reserve(row_tiles_ * col_tiles_);
   for (std::size_t t = 0; t < row_tiles_ * col_tiles_; ++t) {
     Crossbar xbar(config_);
-    xbar.program(extract_tile(weights, t), w_max, tile_options(opts, base, t));
+    xbar.program(extract_tile(weights, t), w_max, tile_options(opts, t));
     arrays_.push_back(std::move(xbar));
   }
   attribute_program_stats();
@@ -53,14 +44,14 @@ std::size_t CrossbarGrid::tile_fault_salt(std::size_t t) const {
   return t < phys_map_.size() ? phys_map_[t] : t;
 }
 
+// Each tile gets an independent seed mixed from the grid's: without it every
+// tile would repeat the same fault pattern.
 ProgramOptions CrossbarGrid::tile_options(const ProgramOptions& opts,
-                                          const device::FaultMapParams& base,
                                           std::size_t t) const {
   ProgramOptions tile_opts = opts;
-  tile_opts.faults = base;
-  if (base.enabled())
+  if (opts.faults.enabled())
     tile_opts.faults.seed =
-        device::FaultMap::mix_seed(base.seed, tile_fault_salt(t) + 1);
+        device::FaultMap::mix_seed(opts.faults.seed, tile_fault_salt(t) + 1);
   return tile_opts;
 }
 
@@ -91,13 +82,9 @@ std::uint64_t CrossbarGrid::refresh_tile(std::size_t t, const Tensor& weights,
   RERAMDL_CHECK_EQ(weights.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(weights.shape()[0], total_rows_);
   RERAMDL_CHECK_EQ(weights.shape()[1], total_cols_);
-  device::FaultMapParams base = opts.faults;
-  if (!base.enabled() && opts.variation != nullptr &&
-      opts.variation->has_legacy_faults())
-    base = opts.variation->legacy_fault_params();
   const std::uint64_t before = arrays_[t].stats().programmed_cells;
   arrays_[t].program(extract_tile(weights, t), w_max_,
-                     tile_options(opts, base, t));
+                     tile_options(opts, t));
   return arrays_[t].stats().programmed_cells - before;
 }
 

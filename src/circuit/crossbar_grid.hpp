@@ -25,8 +25,6 @@ class CrossbarGrid {
   // Full programming path: each tile programs with `opts`, its fault seed
   // derived as FaultMap::mix_seed(seed, tile + 1) so tiles carry
   // independent-but-reproducible fault populations from one campaign seed.
-  // A VariationModel carrying legacy stuck-at rates is expanded here the
-  // same way, so the deprecated shim also gets distinct per-tile patterns.
   void program(const Tensor& weights, double w_max,
                const ProgramOptions& opts);
 
@@ -121,7 +119,6 @@ class CrossbarGrid {
   // wear-leveling map (identity when unset).
   std::size_t tile_fault_salt(std::size_t t) const;
   ProgramOptions tile_options(const ProgramOptions& opts,
-                              const device::FaultMapParams& base,
                               std::size_t t) const;
   Tensor extract_tile(const Tensor& weights, std::size_t t) const;
   // Books programming-time per-tile stats (verify retries, remaps) under

@@ -20,7 +20,8 @@ struct CrossbarExecutor::Binding {
 
   void install() {
     circuit::CrossbarGrid* g = grid;
-    auto hook = [g](const Tensor& rows, const Tensor& weights) -> Tensor {
+    const nn::Layer* l = layer;
+    auto hook = [g, l](const Tensor& rows, const Tensor& weights) -> Tensor {
       RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
       RERAMDL_CHECK_EQ(rows.shape()[1], g->total_rows());
       RERAMDL_CHECK_EQ(weights.shape()[1], g->total_cols());
@@ -32,6 +33,12 @@ struct CrossbarExecutor::Binding {
       // sparsity policy is free here.
       const sparsity::ScanStats scan =
           sparsity::scan_rows(rows.data(), rows.shape()[0], rows.shape()[1]);
+      // An Inf would become the range and quantize every other input of the
+      // batch to 0; a NaN would reach llround. Either way the outputs are
+      // garbage with no error, so reject them here.
+      if (!scan.finite())
+        detail::check_fail("crossbar input is finite", __FILE__, __LINE__,
+                           l->name() + " layer " + g->obs_label());
       // Batched fast path: the whole activation matrix dispatches as one
       // (tile x row-block) grid job — bit-identical to looping compute()
       // per row, without the per-row copies and per-row pool regions.

@@ -37,8 +37,8 @@ namespace {
 
 // Visits each index in [0, n) independently with probability p, in
 // ascending order, via geometric gap sampling — O(expected faults), not
-// O(cells), and exactly the per-cell Bernoulli semantics the old
-// VariationModel implemented one uniform draw at a time.
+// O(cells), with exactly the semantics of one independent uniform draw per
+// cell.
 template <typename Fn>
 void sample_bernoulli(std::uint64_t n, double p, Rng& rng, Fn&& fn) {
   if (p <= 0.0 || n == 0) return;

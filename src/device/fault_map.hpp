@@ -20,11 +20,9 @@
 // bit-for-bit from a single number: the stuck set is a pure function of
 // (seed, geometry), and the transient set of injection event `step` is a
 // pure function of (seed, step) — no draw-order coupling to the programmed
-// pattern, the thread count, or how often the map is consulted.
-//
-// This replaces the ad-hoc stuck_at_{off,on}_rate handling that used to
-// live inside VariationModel::perturb, which made faults invisible after
-// programming (no count, no location, no way to detect or repair them).
+// pattern, the thread count, or how often the map is consulted. Because the
+// map outlives programming, every fault can be counted, located, detected
+// and repaired.
 #pragma once
 
 #include <cstddef>

@@ -9,26 +9,16 @@ namespace reramdl::device {
 VariationModel::VariationModel(VariationParams params, Rng rng)
     : params_(params), rng_(rng) {
   RERAMDL_CHECK_GE(params.sigma, 0.0);
-  RERAMDL_CHECK_GE(params.stuck_at_off_rate, 0.0);
-  RERAMDL_CHECK_GE(params.stuck_at_on_rate, 0.0);
-  RERAMDL_CHECK_LE(params.stuck_at_off_rate + params.stuck_at_on_rate, 1.0);
-  // Reserve one draw for the legacy fault-map seed so the shim is
-  // deterministic per model regardless of how many cells are perturbed.
-  legacy_fault_seed_ = rng_.next_u64();
+  // Skip one draw so every perturb() stream stays bit-identical to the
+  // recorded results: bench_ablation_accuracy and bench_fault_campaign
+  // print the same numbers as before the stuck-at rates left this model.
+  rng_.next_u64();
 }
 
 double VariationModel::perturb(double ideal_level, double max_level) {
   double level = ideal_level;
   if (params_.sigma > 0.0) level *= rng_.lognormal_unit_mean(params_.sigma);
   return std::clamp(level, 0.0, max_level);
-}
-
-FaultMapParams VariationModel::legacy_fault_params() const {
-  FaultMapParams p;
-  p.stuck_at_off_rate = params_.stuck_at_off_rate;
-  p.stuck_at_on_rate = params_.stuck_at_on_rate;
-  p.seed = legacy_fault_seed_;
-  return p;
 }
 
 }  // namespace reramdl::device

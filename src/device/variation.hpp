@@ -1,22 +1,15 @@
 // Device non-idealities: programming variation.
 //
 // Variation is modeled as multiplicative lognormal noise on the programmed
-// conductance (unit mean so the expected MVM is unbiased).
-//
-// Stuck-at faults used to be folded into perturb() here; they now live in
-// device::FaultMap (fault_map.hpp), where they are persistent, locatable,
-// countable, and repairable — a draw inside perturb() forgot the fault the
-// moment the cell was programmed. The stuck_at_*_rate fields remain as a
-// deprecated shim: a Crossbar programmed with a VariationModel whose rates
-// are non-zero seeds an equivalent FaultMap from legacy_fault_params(), so
-// existing callers keep their fault behavior (now visible in
-// CrossbarStats::stuck_cells).
+// conductance (unit mean so the expected MVM is unbiased). Stuck-at faults
+// are not drawn here: they live in the per-crossbar device::FaultMap
+// (fault_map.hpp), where they are persistent, locatable, countable, and
+// repairable.
 #pragma once
 
 #include <cstddef>
 
 #include "common/rng.hpp"
-#include "device/fault_map.hpp"
 
 namespace reramdl::device {
 
@@ -24,15 +17,8 @@ struct VariationParams {
   // Sigma of the underlying normal of the lognormal conductance noise.
   // 0 disables variation. Typical reported values: 0.05 - 0.3.
   double sigma = 0.0;
-  // DEPRECATED: independent probabilities that a cell is stuck at min / max
-  // conductance. Prefer FaultMapParams (fault_map.hpp); these now only seed
-  // a legacy FaultMap at program time via legacy_fault_params().
-  double stuck_at_off_rate = 0.0;
-  double stuck_at_on_rate = 0.0;
 
-  bool enabled() const {
-    return sigma > 0.0 || stuck_at_off_rate > 0.0 || stuck_at_on_rate > 0.0;
-  }
+  bool enabled() const { return sigma > 0.0; }
 };
 
 // Applies lognormal programming noise to an ideal programmed level,
@@ -46,18 +32,9 @@ class VariationModel {
 
   const VariationParams& params() const { return params_; }
 
-  // Deprecated-field shim: true when the legacy stuck-at rates are set.
-  bool has_legacy_faults() const {
-    return params_.stuck_at_off_rate > 0.0 || params_.stuck_at_on_rate > 0.0;
-  }
-  // FaultMapParams carrying the legacy rates, seeded deterministically from
-  // this model's Rng at construction time.
-  FaultMapParams legacy_fault_params() const;
-
  private:
   VariationParams params_;
   Rng rng_;
-  std::uint64_t legacy_fault_seed_ = 0;
 };
 
 }  // namespace reramdl::device

@@ -28,8 +28,8 @@ struct ConvGeometry {
 };
 
 // x: [N, C, H, W] -> [N * out_h * out_w, C*kh*kw]; row order is (n, oy, ox),
-// column order is (c, ky, kx) — matching the kernel flattening in
-// src/mapping/kernel_flatten.
+// column order is (c, ky, kx) — matching the rows of the flattened
+// [Cin*kh*kw, Cout] kernel matrix a Conv2D holds (paper Fig. 4).
 Tensor im2col(const Tensor& x, const ConvGeometry& g);
 
 // Scatter-add the patch matrix back into an [N, C, H, W] image; the adjoint

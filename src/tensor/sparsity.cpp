@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "common/env.hpp"
 #include "common/parallel.hpp"
@@ -38,15 +39,17 @@ ScanStats scan_rows(const float* data, std::size_t rows, std::size_t cols,
   parallel::parallel_for(0, rows, 64, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       const float* row = data + i * cols;
-      std::uint32_t zeros = 0;
+      std::uint32_t zeros = 0, nonfinite = 0;
       float m = 0.0f;
       for (std::size_t j = 0; j < cols; ++j) {
         const float a = std::fabs(row[j]);
         zeros += (row[j] == 0.0f) ? 1u : 0u;
+        // True for Inf and NaN; std::max below would drop a NaN.
+        nonfinite += (a <= std::numeric_limits<float>::max()) ? 0u : 1u;
         m = std::max(m, a);
       }
       row_zeros[i] = zeros;
-      row_max[i] = m;
+      row_max[i] = nonfinite != 0 ? std::numeric_limits<float>::infinity() : m;
       if (row_nonzero != nullptr)
         row_nonzero[i] = (zeros == cols) ? 0u : 1u;
     }

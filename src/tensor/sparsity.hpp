@@ -8,10 +8,10 @@
 //   * scan_rows: one fused traversal of an [rows, cols] activation matrix
 //     producing the per-row nonzero bitmap, the zero-element fraction, and
 //     the absolute max (the per-layer spike-driver range the crossbar
-//     executor previously computed with its own separate pass). Parallelized
-//     over row blocks; every reduction (integer sums, max) is
-//     association-insensitive, so the result is exact for any
-//     RERAMDL_THREADS.
+//     executor previously computed with its own separate pass), which also
+//     flags non-finite elements. Parallelized over row blocks; every
+//     reduction (integer sums, max) is association-insensitive, so the
+//     result is exact for any RERAMDL_THREADS.
 //   * a threshold policy choosing the dense or the zero-skipping kernel
 //     variant per call: env-tunable RERAMDL_SPARSE_THRESHOLD in [0, 1]
 //     (fraction of zero elements at or above which the sparse variant runs;
@@ -23,6 +23,7 @@
 //     the "sparsity.rows_skipped" counter fed by the skipping kernels.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,8 +34,12 @@ struct ScanStats {
   std::size_t rows = 0, cols = 0;
   std::uint64_t zero_elems = 0;  // elements exactly == 0.0f
   std::uint64_t zero_rows = 0;   // rows with every element zero
-  double max_abs = 1e-12;        // max |x|, floored at the driver epsilon
+  // max |x|, floored at 1e-12 so it is always a valid input range; +inf
+  // when any element is non-finite (NaN included), so finite() needs no
+  // second pass.
+  double max_abs = 1e-12;
 
+  bool finite() const { return std::isfinite(max_abs); }
   double zero_fraction() const {
     const std::uint64_t n = static_cast<std::uint64_t>(rows) * cols;
     return n == 0 ? 0.0

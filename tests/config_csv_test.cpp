@@ -1,57 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "arch/update_model.hpp"
 #include "common/check.hpp"
-#include "common/csv.hpp"
 #include "core/config_io.hpp"
 #include "mapping/planner.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace reramdl {
 namespace {
-
-// ---- CsvWriter -----------------------------------------------------------
-
-TEST(Csv, WritesHeaderAndRows) {
-  CsvWriter csv({"a", "b"});
-  csv.add_row({"1", "2"});
-  csv.add_row({"3", "4"});
-  EXPECT_EQ(csv.to_string(), "a,b\n1,2\n3,4\n");
-  EXPECT_EQ(csv.rows(), 2u);
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, RowArityChecked) {
-  CsvWriter csv({"a", "b"});
-  EXPECT_THROW(csv.add_row({"only"}), CheckError);
-}
-
-TEST(Csv, SaveRoundTrip) {
-  CsvWriter csv({"x"});
-  csv.add_row({"42"});
-  const std::string path = "/tmp/reramdl_csv_test.csv";
-  ASSERT_TRUE(csv.save(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  const std::size_t got = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(std::string(buf, got), "x\n42\n");
-}
-
-TEST(Csv, SaveToBadPathFails) {
-  CsvWriter csv({"x"});
-  EXPECT_FALSE(csv.save("/nonexistent-dir/file.csv"));
-}
 
 // ---- Config IO -------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "baseline/gpu_model.hpp"
 #include "common/check.hpp"
@@ -290,6 +292,30 @@ TEST(CrossbarExecutor, ReprogramTracksWeightUpdates) {
   for (std::size_t i = 0; i < out1.numel(); ++i)
     diff += std::abs(static_cast<double>(out1[i]) - out2[i]);
   EXPECT_GT(diff, 1e-3);
+}
+
+// A non-finite input must fail loudly: an Inf used to become the batch's
+// input range and zero out a clean batch-mate's logits, and a NaN reached
+// llround.
+TEST(CrossbarExecutor, NonFiniteInputThrowsNamingTheLayer) {
+  Rng rng(310);
+  auto net = workload::make_lenet_small(rng);
+  Rng data_rng(311);
+  const auto data = workload::make_mnist_like(2, data_rng);
+  CrossbarExecutor exec(net, small_config());
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    Tensor images = data.images;
+    images.at(1, 0, 14, 14) = bad;
+    try {
+      net.forward(images, false);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("conv2d layer host/layer0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

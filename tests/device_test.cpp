@@ -145,37 +145,5 @@ TEST(Variation, PerturbedLevelsStayInRange) {
   }
 }
 
-TEST(Variation, StuckAtRatesObserved) {
-  // The deprecated stuck-at rates now seed a FaultMap instead of drawing
-  // inside perturb(): the sampled stuck population must match the rates.
-  VariationParams p;
-  p.stuck_at_off_rate = 0.1;
-  p.stuck_at_on_rate = 0.05;
-  VariationModel vm(p, Rng(4));
-  EXPECT_TRUE(vm.has_legacy_faults());
-
-  FaultMap map(vm.legacy_fault_params());
-  map.bind(4, 4, 128, 128);  // 4 slices x 2 polarities x 128 x 128 cells
-  const double n = 4.0 * 2 * 128 * 128;
-  double off = 0, on = 0;
-  for (const auto& f : map.stuck_faults()) {
-    if (f.type == FaultType::kStuckOff) ++off;
-    if (f.type == FaultType::kStuckOn) ++on;
-  }
-  EXPECT_NEAR(off / n, 0.1, 0.01);
-  EXPECT_NEAR(on / n, 0.05, 0.01);
-  // perturb() itself no longer swallows faults: with sigma == 0 it is the
-  // identity even when the legacy rates are set.
-  for (double level : {0.0, 7.0, 15.0})
-    EXPECT_DOUBLE_EQ(vm.perturb(level, 15.0), level);
-}
-
-TEST(Variation, InvalidRatesThrow) {
-  VariationParams p;
-  p.stuck_at_off_rate = 0.7;
-  p.stuck_at_on_rate = 0.7;
-  EXPECT_THROW(VariationModel(p, Rng(5)), CheckError);
-}
-
 }  // namespace
 }  // namespace reramdl::device

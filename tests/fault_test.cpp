@@ -104,6 +104,12 @@ TEST(FaultMap, ObservedRatesTrackParameters) {
   EXPECT_NEAR(on / n, 0.01, 0.005);
 }
 
+TEST(FaultMap, InvalidRatesThrow) {
+  EXPECT_THROW(FaultMap(rates(0.7, 0.7, 0.0, 12)), CheckError);
+  EXPECT_THROW(FaultMap(rates(-0.1, 0.0, 0.0, 12)), CheckError);
+  EXPECT_THROW(FaultMap(rates(0.0, 0.0, 1.5, 12)), CheckError);
+}
+
 TEST(FaultMap, ApplyForcesStuckLevels) {
   EXPECT_DOUBLE_EQ(FaultMap::apply(FaultType::kStuckOff, 9.0, 15.0), 0.0);
   EXPECT_DOUBLE_EQ(FaultMap::apply(FaultType::kStuckOn, 2.0, 15.0), 15.0);
@@ -330,23 +336,6 @@ TEST(CrossbarFaults, FailFastThrowsWhenSparesExhausted) {
   opts.write_verify = true;
   opts.degrade = DegradePolicy::kFailFast;
   EXPECT_THROW(xb.program(w, 1.0, opts), CheckError);
-}
-
-TEST(CrossbarFaults, LegacyVariationStuckRatesSeedTheFaultMap) {
-  // Deprecated shim: stuck rates on VariationParams still inject faults,
-  // now visible in the stats instead of hidden inside perturb().
-  Rng rng(28);
-  const Tensor w = Tensor::uniform(Shape{64, 64}, rng, -1.0f, 1.0f);
-  device::VariationParams vp;
-  vp.stuck_at_off_rate = 0.01;
-  vp.stuck_at_on_rate = 0.01;
-  device::VariationModel vm(vp, Rng(29));
-  CrossbarConfig cfg;
-  cfg.rows = cfg.cols = 64;
-  Crossbar xb(cfg);
-  xb.program(w, 1.0, &vm);  // legacy signature
-  EXPECT_TRUE(xb.fault_map().enabled());
-  EXPECT_GT(xb.stats().stuck_cells, 0u);
 }
 
 TEST(CrossbarFaults, InjectAtIsDeterministicAndPersistent) {

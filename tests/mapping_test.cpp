@@ -1,54 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "mapping/kernel_flatten.hpp"
 #include "mapping/planner.hpp"
-#include "nn/conv2d.hpp"
-#include "tensor/im2col.hpp"
-#include "tensor/ops.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace reramdl::mapping {
 namespace {
-
-TEST(KernelFlatten, RoundTrip) {
-  Rng rng(1);
-  const Tensor k = Tensor::normal(Shape{5, 3, 2, 2}, rng, 0.0f, 1.0f);
-  const Tensor m = flatten_kernel(k);
-  EXPECT_EQ(m.shape(), Shape({3 * 2 * 2, 5}));
-  const Tensor back = unflatten_kernel(m, 3, 2, 2);
-  ASSERT_EQ(back.shape(), k.shape());
-  for (std::size_t i = 0; i < k.numel(); ++i) EXPECT_FLOAT_EQ(back[i], k[i]);
-}
-
-TEST(KernelFlatten, OrderingMatchesIm2col) {
-  // Convolution through flattened kernel x im2col patches must equal a
-  // direct convolution — proving the crossbar column layout (Fig. 4) and
-  // the patch layout agree.
-  Rng rng(2);
-  const std::size_t in_c = 2, h = 5, w = 5, out_c = 3, k = 3;
-  const Tensor kernel4d = Tensor::normal(Shape{out_c, in_c, k, k}, rng, 0.0f, 1.0f);
-  const Tensor x = Tensor::normal(Shape{1, in_c, h, w}, rng, 0.0f, 1.0f);
-
-  const ConvGeometry g{in_c, h, w, k, k, 1, 0};
-  const Tensor cols = im2col(x, g);
-  const Tensor y_mat = ops::matmul(cols, flatten_kernel(kernel4d));
-
-  // Direct convolution reference.
-  for (std::size_t o = 0; o < out_c; ++o) {
-    for (std::size_t oy = 0; oy < g.out_h(); ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w(); ++ox) {
-        double ref = 0.0;
-        for (std::size_t c = 0; c < in_c; ++c)
-          for (std::size_t ky = 0; ky < k; ++ky)
-            for (std::size_t kx = 0; kx < k; ++kx)
-              ref += static_cast<double>(kernel4d.at(o, c, ky, kx)) *
-                     x.at(0, c, oy + ky, ox + kx);
-        EXPECT_NEAR(y_mat.at(oy * g.out_w() + ox, o), ref, 1e-3);
-      }
-    }
-  }
-}
 
 nn::LayerSpec fig4_conv() {
   // The paper's running example: 114x114x128 -> 112x112x256 with 3x3

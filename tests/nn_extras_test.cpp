@@ -2,121 +2,12 @@
 
 #include <cmath>
 
-#include "nn/dropout.hpp"
 #include "nn/gan.hpp"
 #include "workload/datasets.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace reramdl::nn {
 namespace {
-
-// ---- Dropout ----------------------------------------------------------------
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Rng rng(1);
-  Dropout drop(0.5f, rng);
-  const Tensor x = Tensor::normal(Shape{4, 8}, rng, 0.0f, 1.0f);
-  const Tensor y = drop.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, DropRateObserved) {
-  Rng rng(2);
-  Dropout drop(0.3f, rng);
-  const Tensor x = Tensor::full(Shape{100, 100}, 1.0f);
-  const Tensor y = drop.forward(x, true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.numel(); ++i)
-    if (y[i] == 0.0f) ++zeros;
-  EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.3, 0.02);
-}
-
-TEST(Dropout, InvertedScalingPreservesExpectation) {
-  Rng rng(3);
-  Dropout drop(0.4f, rng);
-  const Tensor x = Tensor::full(Shape{200, 200}, 1.0f);
-  const Tensor y = drop.forward(x, true);
-  double mean = 0.0;
-  for (std::size_t i = 0; i < y.numel(); ++i) mean += y[i];
-  mean /= static_cast<double>(y.numel());
-  EXPECT_NEAR(mean, 1.0, 0.02);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Rng rng(4);
-  Dropout drop(0.5f, rng);
-  const Tensor x = Tensor::full(Shape{10, 10}, 1.0f);
-  const Tensor y = drop.forward(x, true);
-  const Tensor g = Tensor::full(Shape{10, 10}, 1.0f);
-  const Tensor gx = drop.backward(g);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) EXPECT_FLOAT_EQ(gx[i], 0.0f);
-    else EXPECT_FLOAT_EQ(gx[i], 2.0f);  // 1 / (1 - 0.5)
-  }
-}
-
-TEST(Dropout, ZeroRateIsIdentityInTraining) {
-  Rng rng(5);
-  Dropout drop(0.0f, rng);
-  const Tensor x = Tensor::normal(Shape{3, 3}, rng, 0.0f, 1.0f);
-  const Tensor y = drop.forward(x, true);
-  for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-// ---- Softmax ------------------------------------------------------------------
-
-TEST(Softmax, RowsSumToOne) {
-  Rng rng(6);
-  Softmax sm;
-  const Tensor x = Tensor::normal(Shape{5, 7}, rng, 0.0f, 3.0f);
-  const Tensor y = sm.forward(x, false);
-  for (std::size_t i = 0; i < 5; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < 7; ++j) {
-      EXPECT_GT(y.at(i, j), 0.0f);
-      s += y.at(i, j);
-    }
-    EXPECT_NEAR(s, 1.0, 1e-5);
-  }
-}
-
-TEST(Softmax, StableForHugeLogits) {
-  Softmax sm;
-  Tensor x(Shape{1, 3});
-  x[0] = 1000.0f;
-  x[1] = 999.0f;
-  x[2] = -1000.0f;
-  const Tensor y = sm.forward(x, false);
-  EXPECT_TRUE(std::isfinite(y[0]));
-  EXPECT_GT(y[0], y[1]);
-  EXPECT_NEAR(y[2], 0.0f, 1e-6);
-}
-
-TEST(Softmax, GradientMatchesNumeric) {
-  Rng rng(7);
-  Softmax sm;
-  Tensor x = Tensor::normal(Shape{2, 4}, rng, 0.0f, 1.0f);
-  const Tensor y = sm.forward(x, true);
-  const Tensor g = Tensor::normal(y.shape(), rng, 0.0f, 1.0f);
-  const Tensor gx = sm.backward(g);
-  const float eps = 1e-3f;
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    const float orig = x[i];
-    auto objective = [&]() {
-      const Tensor yy = sm.forward(x, false);
-      double acc = 0.0;
-      for (std::size_t j = 0; j < yy.numel(); ++j)
-        acc += static_cast<double>(yy[j]) * g[j];
-      return acc;
-    };
-    x[i] = orig + eps;
-    const double lp = objective();
-    x[i] = orig - eps;
-    const double lm = objective();
-    x[i] = orig;
-    EXPECT_NEAR(gx[i], (lp - lm) / (2.0 * eps), 2e-3);
-  }
-}
 
 // ---- Wasserstein GAN -----------------------------------------------------------
 

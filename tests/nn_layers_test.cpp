@@ -3,6 +3,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
@@ -87,6 +89,10 @@ struct LayerCase {
   Shape in_shape;
   bool check_params;
 };
+
+// gtest would otherwise print the raw bytes of a LayerCase, which hold heap
+// and code addresses, so the listed test names would change from run to run.
+void PrintTo(const LayerCase& c, std::ostream* os) { *os << c.name; }
 
 class LayerGradient : public ::testing::TestWithParam<LayerCase> {};
 

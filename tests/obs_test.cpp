@@ -690,8 +690,8 @@ TEST(Attribution, DeterministicAcrossThreadCounts) {
   Rng wrng(41);
   const Tensor weights = Tensor::uniform(Shape{200, 96}, wrng, -0.5f, 0.5f);
   Tensor batch = Tensor::uniform(Shape{8, 200}, wrng, -1.0f, 1.0f);
-  for (std::size_t i = 0; i < batch.numel(); i += 3)
-    batch.data()[i] = 0.0f;  // enough zeros to engage the sparse selector
+  for (std::size_t i = 0; i < batch.numel(); i += 2)
+    batch.data()[i] = 0.0f;  // zero fraction 0.5: engages the sparse selector
 
   std::string ref_json;
   std::vector<float> ref_out;
@@ -715,6 +715,7 @@ TEST(Attribution, DeterministicAcrossThreadCounts) {
     obs::set_metrics_enabled(false);
 
     EXPECT_GT(attr.total("chip/bank0/layer0", "flops"), 0.0);
+    EXPECT_EQ(attr.total("chip/bank0/layer0", "sparse_calls"), 1.0);
     if (ref_json.empty()) {
       ref_json = os.str();
       ref_out.assign(y.data(), y.data() + y.numel());

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "circuit/crossbar_grid.hpp"
@@ -59,6 +60,14 @@ TEST(SparsityScan, CountsZerosRowsAndMax) {
   EXPECT_EQ(flags[0], 1u);
   EXPECT_EQ(flags[1], 0u);
   EXPECT_EQ(flags[2], 1u);
+  EXPECT_TRUE(s.finite());
+  // One Inf or NaN anywhere makes the range infinite (std::max alone would
+  // drop the NaN).
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    a[5] = bad;
+    EXPECT_FALSE(sparsity::scan_rows(a.data(), 3, 4).finite()) << bad;
+  }
 }
 
 TEST(SparsityScan, AllZeroMatrixFloorsMaxAtDriverEpsilon) {
