@@ -9,7 +9,7 @@
 //   3. runs a write-verify + spare-column fault campaign through a
 //      CrossbarExecutor whose grids are re-labeled with the chip placement
 //      ("chip/bank<b>/layer<l>"), so per-tile MVM work, spike-drive energy,
-//      sparsity decisions and verify retries fold into the same tree,
+//      and verify retries fold into the same tree,
 //   4. fires a mid-run transient injection, and
 //   5. writes the run report (obs::write_run_report) plus a small bench
 //      JSON with the self-check results.

@@ -10,7 +10,6 @@
 #include "common/scratch.hpp"
 #include "common/simd.hpp"
 #include "obs/obs.hpp"
-#include "tensor/sparsity.hpp"
 
 namespace reramdl::circuit {
 
@@ -103,50 +102,6 @@ void batch_kernel_dense(const double* w_eff, std::size_t r, std::size_t c,
       float* yrow = out + bb * out_stride;
       for (std::size_t j = 0; j < c; ++j)
         yrow[j] = static_cast<float>(arow[j] * scale);
-    }
-  }
-}
-
-// Zero-skipping kernel body over the CSR-compacted quantized batch: per
-// input row, only the nonzero wordline entries contribute. Like the dense
-// quad, accumulators live in registers — an 8-column panel is held across
-// one full walk of the row's compact list, so every product costs exactly
-// one FMA with no accumulator load/store traffic (the row-fused axpy form
-// was store-bound and gave back most of the skipped work). Re-reading the
-// compact list once per panel is cheap: it is at most r (index, value)
-// pairs and L1/L2-resident. Per output element the sum still visits i in
-// ascending order — the dense sequence minus exact-zero terms, which is
-// bit-identical (see batch_kernel_dense's comment on why a skipped +/-0.0
-// add is a bitwise no-op). At 75% input sparsity this executes ~1/4 of the
-// dense kernel's FMAs.
-RERAMDL_TARGET_CLONES
-void batch_kernel_sparse(const double* w_eff, std::size_t c, const double* xv,
-                         const std::int32_t* xi, const std::int32_t* row_start,
-                         std::size_t m, double scale, float* out,
-                         std::size_t out_stride) {
-  for (std::size_t b = 0; b < m; ++b) {
-    const std::int32_t t0 = row_start[b], t1 = row_start[b + 1];
-    float* yrow = out + b * out_stride;
-    for (std::size_t j0 = 0; j0 < c; j0 += 16) {
-      const std::size_t jn = std::min<std::size_t>(16, c - j0);
-      double a[16] = {};
-      if (jn == 16) {
-        for (std::int32_t t = t0; t < t1; ++t) {
-          const double xb = xv[t];
-          const double* __restrict wp =
-              w_eff + static_cast<std::size_t>(xi[t]) * c + j0;
-          for (int jj = 0; jj < 16; ++jj) a[jj] += xb * wp[jj];
-        }
-      } else {
-        for (std::int32_t t = t0; t < t1; ++t) {
-          const double xb = xv[t];
-          const double* __restrict wp =
-              w_eff + static_cast<std::size_t>(xi[t]) * c + j0;
-          for (std::size_t jj = 0; jj < jn; ++jj) a[jj] += xb * wp[jj];
-        }
-      }
-      for (std::size_t jj = 0; jj < jn; ++jj)
-        yrow[j0 + jj] = static_cast<float>(a[jj] * scale);
     }
   }
 }
@@ -505,8 +460,7 @@ void Crossbar::compute(const float* x, std::size_t n, double x_max, float* y) {
   ++stats_.compute_ops;
 }
 
-Tensor Crossbar::compute_batch(const Tensor& rows, double x_max,
-                               double zero_fraction) {
+Tensor Crossbar::compute_batch(const Tensor& rows, double x_max) {
   RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(rows.shape()[1], r_);
   const std::size_t m = rows.shape()[0];
@@ -517,31 +471,12 @@ Tensor Crossbar::compute_batch(const Tensor& rows, double x_max,
     return out;
   }
 
-  // Variant selection: scan only when the caller didn't and the policy is
-  // live (threshold 0 keeps legacy behavior with zero scan overhead). The
-  // float-level zero fraction under-counts quantized zeros slightly, which
-  // only errs toward the dense oracle.
-  double zf = zero_fraction;
-  if (zf < 0.0 && m > 0 && sparsity::threshold() > 0.0)
-    zf = sparsity::scan_rows(rows.data(), m, r_).zero_fraction();
-  bool sparse = false;
-  if (zf >= 0.0) {
-    sparse = sparsity::select_sparse(zf);
-    sparsity::record_selection(zf, sparse);
-  }
-
   CrossbarStats delta;
-  std::uint64_t skipped = 0;
   for (std::size_t b0 = 0; b0 < m; b0 += kBatchBlock) {
     const std::size_t bm = std::min(kBatchBlock, m - b0);
-    if (sparse)
-      compute_batch_block_sparse(rows.data() + b0 * r_, bm, r_, x_max,
-                                 out.data() + b0 * c_, c_, delta, skipped);
-    else
-      compute_batch_block(rows.data() + b0 * r_, bm, r_, x_max,
-                          out.data() + b0 * c_, c_, delta);
+    compute_batch_block(rows.data() + b0 * r_, bm, r_, x_max,
+                        out.data() + b0 * c_, c_, delta);
   }
-  if (sparse) sparsity::count_rows_skipped(skipped);
   stats_ += delta;
   return out;
 }
@@ -587,65 +522,6 @@ void Crossbar::compute_batch_prequant(const double* xt, std::size_t m,
   const double scale = wq.step() * xq.step();
   batch_kernel_dense(w_eff_.data(), r_, c_, xt, m, scale, out, out_stride);
   delta.compute_ops += m;
-}
-
-std::uint64_t Crossbar::quantize_batch_sparse(const float* rows, std::size_t m,
-                                              std::size_t row_stride,
-                                              double x_max, double* xv,
-                                              std::int32_t* xi,
-                                              std::int32_t* row_start) const {
-  RERAMDL_CHECK_GT(x_max, 0.0);
-  const device::LinearQuantizer xq(config_.input_bits, x_max);
-  // Ascending-i CSR compaction per batch row. The spike total matches
-  // quantize_batch exactly: a zero quantized magnitude has popcount 0.
-  std::uint64_t spikes = 0;
-  std::int32_t nnz = 0;
-  for (std::size_t b = 0; b < m; ++b) {
-    row_start[b] = nnz;
-    const float* xrow = rows + b * row_stride;
-    for (std::size_t i = 0; i < r_; ++i) {
-      const std::int64_t q = xq.quantize(xrow[i]);
-      if (q == 0) continue;
-      const std::uint64_t mag = static_cast<std::uint64_t>(std::llabs(q));
-      spikes += static_cast<std::uint64_t>(std::popcount(mag));
-      xv[nnz] = static_cast<double>(q);
-      xi[nnz] = static_cast<std::int32_t>(i);
-      ++nnz;
-    }
-  }
-  row_start[m] = nnz;
-  return spikes;
-}
-
-void Crossbar::compute_batch_prequant_sparse(
-    const double* xv, const std::int32_t* xi, const std::int32_t* row_start,
-    std::size_t m, double x_max, float* out, std::size_t out_stride,
-    CrossbarStats& delta) const {
-  RERAMDL_CHECK(!config_.bit_serial);
-  RERAMDL_CHECK_GT(w_max_, 0.0);
-  RERAMDL_CHECK_GT(x_max, 0.0);
-  const device::LinearQuantizer xq(config_.input_bits, x_max);
-  const device::LinearQuantizer wq(config_.weight_bits, w_max_);
-  const double scale = wq.step() * xq.step();
-  batch_kernel_sparse(w_eff_.data(), c_, xv, xi, row_start, m, scale, out,
-                      out_stride);
-  delta.compute_ops += m;
-}
-
-void Crossbar::compute_batch_block_sparse(const float* rows, std::size_t m,
-                                          std::size_t row_stride, double x_max,
-                                          float* out, std::size_t out_stride,
-                                          CrossbarStats& delta,
-                                          std::uint64_t& zeros_skipped) const {
-  scratch::Buffer<double> xv(r_ * m);
-  scratch::Buffer<std::int32_t> xi(r_ * m);
-  scratch::Buffer<std::int32_t> row_start(m + 1);
-  delta.input_spikes += quantize_batch_sparse(
-      rows, m, row_stride, x_max, xv.data(), xi.data(), row_start.data());
-  zeros_skipped += static_cast<std::uint64_t>(r_ * m) -
-                   static_cast<std::uint64_t>(row_start[m]);
-  compute_batch_prequant_sparse(xv.data(), xi.data(), row_start.data(), m,
-                                x_max, out, out_stride, delta);
 }
 
 std::vector<float> Crossbar::compute_reference(const std::vector<float>& x,

@@ -182,16 +182,7 @@ class Crossbar {
   // Batched MVM: rows is [m, active_rows()], returns [m, active_cols()].
   // Bit-identical to m single-vector compute() calls, with identical
   // aggregate stats (compute_ops advances by m).
-  //
-  // Runtime variant selection (DESIGN.md §12): when the batch is sparse
-  // enough per the tensor/sparsity.hpp policy, the zero-skipping kernel
-  // runs instead of the dense one — bit-identical by construction, so this
-  // is purely a performance decision. Pass the batch's known zero-element
-  // fraction in `zero_fraction` if a scan already ran (the CrossbarExecutor
-  // hook fuses it with its x_max pass); negative means "unknown", and the
-  // batch is scanned here iff the policy threshold is nonzero.
-  Tensor compute_batch(const Tensor& rows, double x_max,
-                       double zero_fraction = -1.0);
+  Tensor compute_batch(const Tensor& rows, double x_max);
 
   // Stats-free batched fast-path kernel for one block of rows, used by
   // CrossbarGrid to fan (tile x row-block) work items out to the thread
@@ -220,35 +211,6 @@ class Crossbar {
   void compute_batch_prequant(const double* xt, std::size_t m, double x_max,
                               float* out, std::size_t out_stride,
                               CrossbarStats& delta) const;
-
-  // Zero-skipping analogs of the three batched entry points above. The
-  // quantized batch is compacted per input row into CSR strips — ascending
-  // wordline indices xi with values xv, rows delimited by row_start
-  // (m + 1 entries, nnz = row_start[m]) — and the sparse kernel walks only
-  // the compacted entries. Skipping a q == 0 term is bitwise a no-op (see
-  // compute_batch_prequant's kernel comment), and the compact lists keep
-  // ascending i order, so every result is bit-identical to the dense path;
-  // spike counts and stats are also identical (a zero drives no spikes).
-  // Compaction keys on the *quantized* value: small nonzero floats quantize
-  // to 0 and are skipped too, exactly as they contribute nothing densely.
-  // xv / xi need active_rows() * m capacity.
-  std::uint64_t quantize_batch_sparse(const float* rows, std::size_t m,
-                                      std::size_t row_stride, double x_max,
-                                      double* xv, std::int32_t* xi,
-                                      std::int32_t* row_start) const;
-  void compute_batch_prequant_sparse(const double* xv, const std::int32_t* xi,
-                                     const std::int32_t* row_start,
-                                     std::size_t m, double x_max, float* out,
-                                     std::size_t out_stride,
-                                     CrossbarStats& delta) const;
-  // Fused quantize-compact + sparse kernel for one block of rows; adds the
-  // number of skipped wordline activations (zero quantized entries) to
-  // `zeros_skipped` for the caller's sparsity.rows_skipped accounting.
-  void compute_batch_block_sparse(const float* rows, std::size_t m,
-                                  std::size_t row_stride, double x_max,
-                                  float* out, std::size_t out_stride,
-                                  CrossbarStats& delta,
-                                  std::uint64_t& zeros_skipped) const;
 
   // Reference slice-walk evaluation of the fast path: recomputes the
   // differential collapse per (i, j) from the stored slice levels instead

@@ -7,7 +7,6 @@
 #include "common/parallel.hpp"
 #include "common/scratch.hpp"
 #include "obs/obs.hpp"
-#include "tensor/sparsity.hpp"
 
 namespace reramdl::circuit {
 
@@ -177,8 +176,7 @@ std::vector<float> CrossbarGrid::compute(const std::vector<float>& x,
   return y;
 }
 
-Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
-                                   double zero_fraction) {
+Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
   RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(rows.shape()[1], total_rows_);
   RERAMDL_CHECK(!arrays_.empty());
@@ -213,27 +211,11 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
     return out;
   }
 
-  // Variant selection (shared with Crossbar::compute_batch): scan only when
-  // the caller didn't already measure the batch and the policy is live.
-  double zf = zero_fraction;
-  if (zf < 0.0 && sparsity::threshold() > 0.0)
-    zf = sparsity::scan_rows(rows.data(), m, total_rows_).zero_fraction();
-  bool sparse = false;
-  if (zf >= 0.0) {
-    sparse = sparsity::select_sparse(zf);
-    sparsity::record_selection(zf, sparse);
-  }
-
   // Per-layer / per-tile attribution (obs::Attribution) is live only when a
   // label was assigned; the per-call deltas below are merged serially, so
   // the booked values are identical for any RERAMDL_THREADS.
   const bool attributing = obs::metrics_enabled() && !obs_label_.empty();
-  if (attributing && zf >= 0.0)
-    obs::Attribution::instance().add(
-        obs_label_, sparse ? "sparse_calls" : "dense_calls", 1.0);
   std::vector<CrossbarStats> tile_deltas(attributing ? arrays_.size() : 0);
-  std::vector<std::uint64_t> strip_skipped_total(attributing ? row_tiles_ : 0,
-                                                 0);
 
   // Row-block size per work item (matches the Crossbar kernel's W_eff reuse
   // window) and a cap on the partial-sum staging buffer; the batch is
@@ -252,31 +234,22 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
   // Quantized input blocks, one region per (row-strip, row-block). Every
   // column tile of a strip sees the same input segment, so quantization
   // (division + llround + popcount per element — measurable at batch scale)
-  // runs once per strip instead of once per tile. The dense path stages the
-  // block transposed in xt; the sparse path stages the CSR compaction in
-  // xv / xi / row_start instead (same per-slot capacity — a slot can be
-  // fully dense). Only the selected variant's buffers are checked out.
-  const std::size_t slab = row_tiles_ * max_blocks * config_.rows * kBlock;
-  scratch::Buffer<double> xt(sparse ? 0 : slab);
-  scratch::Buffer<double> xv(sparse ? slab : 0);
-  scratch::Buffer<std::int32_t> xi(sparse ? slab : 0);
-  scratch::Buffer<std::int32_t> row_start(
-      sparse ? row_tiles_ * max_blocks * (kBlock + 1) : 0);
-  std::vector<std::uint64_t> strip_spikes, strip_skipped;
+  // runs once per strip instead of once per tile; each slot holds its
+  // block transposed.
+  scratch::Buffer<double> xt(row_tiles_ * max_blocks * config_.rows * kBlock);
+  std::vector<std::uint64_t> strip_spikes;
   std::vector<CrossbarStats> deltas;
-  std::uint64_t zeros_skipped = 0;
   for (std::size_t b0 = 0; b0 < m; b0 += chunk) {
     const std::size_t cm = std::min(chunk, m - b0);
     const std::size_t nblocks = (cm + kBlock - 1) / kBlock;
     const std::size_t qitems = row_tiles_ * nblocks;
     const std::size_t items = arrays_.size() * nblocks;
     strip_spikes.assign(qitems, 0);
-    if (sparse) strip_skipped.assign(qitems, 0);
     deltas.assign(items, CrossbarStats{});
 
     // Phase 1 — one work item per (row-strip, row-block): quantize the
-    // block's input segment into its staging slot (transposed dense block
-    // or CSR compaction) and record the strip's spike popcount.
+    // block's input segment into its staging slot and record the strip's
+    // spike popcount.
     parallel::parallel_for(0, qitems, 1, [&](std::size_t w0, std::size_t w1) {
       for (std::size_t w = w0; w < w1; ++w) {
         const std::size_t rt = w / nblocks;
@@ -286,19 +259,8 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
         const std::size_t bm = std::min(kBlock, cm - bb);
         const Crossbar& strip = arrays_[rt * col_tiles_];
         const float* seg = rows.data() + (b0 + bb) * total_rows_ + r0;
-        const std::size_t off = w * config_.rows * kBlock;
-        if (sparse) {
-          std::int32_t* rs = row_start.data() + w * (kBlock + 1);
-          strip_spikes[w] = strip.quantize_batch_sparse(
-              seg, bm, total_rows_, x_max, xv.data() + off, xi.data() + off,
-              rs);
-          strip_skipped[w] =
-              static_cast<std::uint64_t>(strip.active_rows()) * bm -
-              static_cast<std::uint64_t>(rs[bm]);
-        } else {
-          strip_spikes[w] = strip.quantize_batch(seg, bm, total_rows_, x_max,
-                                                 xt.data() + off);
-        }
+        strip_spikes[w] = strip.quantize_batch(
+            seg, bm, total_rows_, x_max, xt.data() + w * config_.rows * kBlock);
       }
     });
 
@@ -318,14 +280,8 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
         const std::size_t off = q * config_.rows * kBlock;
         deltas[w].input_spikes += strip_spikes[q];
         float* dst = partials.data() + (t * chunk + bb) * config_.cols;
-        if (sparse)
-          arrays_[t].compute_batch_prequant_sparse(
-              xv.data() + off, xi.data() + off,
-              row_start.data() + q * (kBlock + 1), bm, x_max, dst,
-              config_.cols, deltas[w]);
-        else
-          arrays_[t].compute_batch_prequant(xt.data() + off, bm, x_max, dst,
-                                            config_.cols, deltas[w]);
+        arrays_[t].compute_batch_prequant(xt.data() + off, bm, x_max, dst,
+                                          config_.cols, deltas[w]);
       }
     });
 
@@ -333,14 +289,6 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
       arrays_[w / nblocks].merge_stats(deltas[w]);
       if (attributing) tile_deltas[w / nblocks] += deltas[w];
     }
-    // Each column tile of a strip skipped that strip's zero wordline
-    // activations — the same per-tile crediting as input_spikes above.
-    if (sparse)
-      for (std::size_t q = 0; q < qitems; ++q) {
-        zeros_skipped += strip_skipped[q] * col_tiles_;
-        if (attributing)
-          strip_skipped_total[q / nblocks] += strip_skipped[q];
-      }
 
     // Vertical add in row-tile-ascending order per output element — the
     // same fixed merge the per-vector path uses.
@@ -358,15 +306,12 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
       }
     }
   }
-  if (sparse && zeros_skipped > 0) sparsity::count_rows_skipped(zeros_skipped);
 
   if (attributing) {
     // Book each tile's share of this batch: achieved vs roofline flops (the
     // utilization numerator/denominator — edge tiles are partially filled),
     // spike-driver dynamic energy (spike_count x per-spike cost, the same
-    // model as SpikeDriver::drive_energy_pj), and the zero-skipping
-    // opportunity (potential = wordline activations driven, skipped = the
-    // ones the sparse variant elided).
+    // model as SpikeDriver::drive_energy_pj).
     auto& attr = obs::Attribution::instance();
     const double mm = static_cast<double>(m);
     for (std::size_t t = 0; t < arrays_.size(); ++t) {
@@ -381,9 +326,6 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max,
       attr.add(path, "energy_pj",
                static_cast<double>(tile_deltas[t].input_spikes) *
                    SpikeDriver::kDefaultSpikePj);
-      attr.add(path, "zeros_potential", ar * mm);
-      attr.add(path, "zeros_skipped",
-               static_cast<double>(strip_skipped_total[t / col_tiles_]));
     }
   }
   obs::snapshot_wall_tick();

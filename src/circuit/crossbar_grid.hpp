@@ -44,18 +44,7 @@ class CrossbarGrid {
   // add runs in fixed row-tile order, so outputs AND aggregate stats are
   // identical to m compute() calls, for any RERAMDL_THREADS. Falls back to
   // per-vector compute() when config().bit_serial.
-  //
-  // Runtime variant selection (DESIGN.md §12): batches sparse enough per
-  // the tensor/sparsity.hpp policy run zero-skipping phases instead — each
-  // row strip quantize-compacts to CSR once and every tile of the strip
-  // walks only the nonzero wordlines. Bit-identical to the dense phases by
-  // construction (identical per-element accumulation order minus exact-zero
-  // terms), with identical stats. `zero_fraction` carries a fraction already
-  // measured by the caller (the CrossbarExecutor hook fuses the scan with
-  // its x_max pass); negative means "unknown" — the batch is scanned here
-  // iff the policy threshold is nonzero.
-  Tensor compute_batch(const Tensor& rows, double x_max,
-                       double zero_fraction = -1.0);
+  Tensor compute_batch(const Tensor& rows, double x_max);
 
   // Age every array (retention drift).
   void apply_drift(double factor);

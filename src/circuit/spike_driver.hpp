@@ -29,9 +29,8 @@ class SpikeDriver {
   double decode(const SpikeTrain& train) const;
 
   // Modeled dynamic drive energy for one train: each '1' phase costs one
-  // spike's wordline charge; phases without a spike drive nothing. A zero
-  // input therefore costs exactly zero — the property the zero-skipping
-  // execution path exploits (DESIGN.md §12). Default per-spike cost is a
+  // spike's wordline charge; phases without a spike drive nothing, so a
+  // zero input costs exactly zero (Sec. II-B). Default per-spike cost is a
   // 1-bit DAC drive in the ISAAC/PipeLayer energy regime; the arch layer
   // books array activation and static power separately.
   static constexpr double kDefaultSpikePj = 0.0039;

@@ -71,12 +71,11 @@ inline std::uint64_t arena_growth_events() {
 // Monotonic counters mirroring the arena ledger above, but for the
 // thread-local Buffer<T> pools: every checkout that has to grow its backing
 // vector (a pool miss or an undersized pooled vector) books the added bytes
-// and one growth event. Steady-state kernels — including the sparse gather
-// path's index/value staging — must stop moving these after warm-up, which
-// bench_sparse_mvm and the sparsity tests assert the same way the training
-// bench asserts arena_growth_events(). Monotonic on purpose: pool retirement
-// (worker TLS destruction) frees memory but never un-counts it, so "stopped
-// growing" is a one-sided, race-free check.
+// and one growth event. Steady-state kernels must stop moving these after
+// warm-up, which the tensor tests assert for matmul the same way the
+// training bench asserts arena_growth_events(). Monotonic on purpose: pool
+// retirement (worker TLS destruction) frees memory but never un-counts it,
+// so "stopped growing" is a one-sided, race-free check.
 
 namespace detail {
 inline std::atomic<std::size_t>& buffer_bytes() {

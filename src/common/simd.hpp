@@ -8,9 +8,8 @@
 // k-ascending double accumulation, so vectorizing across output lanes never
 // reorders any sum, and FMA contraction cannot change results because a
 // float*float product is exactly representable in double (24+24 mantissa
-// bits < 53). The v4 tier widens lanes to 512 bits (and gives the sparse
-// gather-compacted kernels masked tails); lane width cannot change
-// per-element rounding for the same reason.
+// bits < 53). The v4 tier widens lanes to 512 bits; lane width cannot
+// change per-element rounding for the same reason.
 //
 // Disabled under sanitizers (ifunc dispatch confuses their interceptors) and
 // on non-GCC / non-x86-64 toolchains, where it expands to nothing and the

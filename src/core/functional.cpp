@@ -1,13 +1,14 @@
 #include "core/functional.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/transposed_conv2d.hpp"
-#include "tensor/sparsity.hpp"
+#include "tensor/ops.hpp"
 
 namespace reramdl::core {
 
@@ -25,24 +26,18 @@ struct CrossbarExecutor::Binding {
       RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
       RERAMDL_CHECK_EQ(rows.shape()[1], g->total_rows());
       RERAMDL_CHECK_EQ(weights.shape()[1], g->total_cols());
-      // One fused traversal yields both the per-call dynamic input range
-      // (the spike drivers rescale per layer; max is association-insensitive
-      // so the parallel scan is exact for any thread count) and the batch's
-      // zero fraction for the grid's sparse/dense variant selection —
-      // previously a dedicated max-only reduce, i.e. the scan that feeds the
-      // sparsity policy is free here.
-      const sparsity::ScanStats scan =
-          sparsity::scan_rows(rows.data(), rows.shape()[0], rows.shape()[1]);
-      // An Inf would become the range and quantize every other input of the
-      // batch to 0; a NaN would reach llround. Either way the outputs are
-      // garbage with no error, so reject them here.
-      if (!scan.finite())
+      // The spike drivers rescale per call to the batch's max |x|. An Inf
+      // would become the range and quantize every other input of the batch
+      // to 0; a NaN would reach llround. Either way the outputs are garbage
+      // with no error, so reject them here.
+      const double x_max = ops::input_range(rows);
+      if (!std::isfinite(x_max))
         detail::check_fail("crossbar input is finite", __FILE__, __LINE__,
                            l->name() + " layer " + g->obs_label());
       // Batched fast path: the whole activation matrix dispatches as one
       // (tile x row-block) grid job — bit-identical to looping compute()
       // per row, without the per-row copies and per-row pool regions.
-      return g->compute_batch(rows, scan.max_abs, scan.zero_fraction());
+      return g->compute_batch(rows, x_max);
     };
     if (auto* d = dynamic_cast<nn::Dense*>(layer)) d->set_forward_matmul(hook);
     else if (auto* c = dynamic_cast<nn::Conv2D*>(layer)) c->set_forward_matmul(hook);

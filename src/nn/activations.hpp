@@ -1,8 +1,7 @@
 // Element-wise activation layers. In hardware these are the "activation
 // function" peripheral of the morphable subarray (PipeLayer) or the
 // configurable LUT after the subtractor (ReGAN, Fig. 10-B); here they are the
-// exact float functions the LUT approximates (src/circuit/activation_lut
-// models the LUT itself).
+// exact float functions the LUT approximates.
 #pragma once
 
 #include "nn/layer.hpp"

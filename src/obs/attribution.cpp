@@ -119,9 +119,6 @@ Values write_node_impl(JsonWriter& w, const std::string& name,
   const auto roofline = total.find("roofline_flops");
   if (roofline != total.end() && roofline->second > 0.0)
     w.kv("utilization", total["flops"] / roofline->second);
-  const auto potential = total.find("zeros_potential");
-  if (potential != total.end() && potential->second > 0.0)
-    w.kv("sparsity_effectiveness", total["zeros_skipped"] / potential->second);
 
   w.end_object();
   return total;

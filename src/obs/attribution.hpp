@@ -1,17 +1,15 @@
 // Hierarchical attribution: a process-global tree that folds the scattered
 // span/stat sources (per-bank chip-sim busy/energy, per-layer controller
-// segments, per-tile grid MVMs, NoC transfers, sparse-vs-dense selector
-// decisions, plan-cache hits, write-verify retries) into one
+// segments, per-tile grid MVMs, NoC transfers, plan-cache hits,
+// write-verify retries) into one
 // chip -> bank -> layer -> tile report.
 //
 // Nodes are addressed by slash paths ("chip/bank0/layer2/tile3") and carry a
 // flat map of named double accumulators ("latency_ns", "energy_pj", "flops",
-// "roofline_flops", "zeros_skipped", "zeros_potential", ...). Writers only
-// ever add() into a node's *self* values; rollup totals
-// (total = self + sum of children totals) and the derived ratios —
-// utilization = flops / roofline_flops, sparsity_effectiveness =
-// zeros_skipped / zeros_potential — are computed at write_json time, so the
-// emitted tree reconciles exactly by construction.
+// "roofline_flops", ...). Writers only ever add() into a node's *self*
+// values; rollup totals (total = self + sum of children totals) and the
+// derived utilization = flops / roofline_flops are computed at write_json
+// time, so the emitted tree reconciles exactly by construction.
 //
 // Determinism: every producer either adds from a serial section or from
 // per-item deltas already merged in a fixed order, and std::map keeps the
@@ -44,8 +42,7 @@ class Attribution {
 
   // Emits the top-level node array:
   //   [{"name": ..., "self": {...}, "total": {...},
-  //     "utilization": ...?, "sparsity_effectiveness": ...?,
-  //     "children": [...]}, ...]
+  //     "utilization": ...?, "children": [...]}, ...]
   void write_json(JsonWriter& w) const;
 
  private:

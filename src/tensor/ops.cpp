@@ -1,7 +1,9 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,7 +12,6 @@
 #include "common/scratch.hpp"
 #include "common/simd.hpp"
 #include "obs/obs.hpp"
-#include "tensor/sparsity.hpp"
 
 namespace reramdl::ops {
 
@@ -81,110 +82,6 @@ void matmul_kernel(const float* pa, const float* pb, float* pc, std::size_t m,
   });
 }
 
-// ---- Zero-skipping (sparse) GEMM variants ----------------------------------
-//
-// Selected at runtime by the sparsity policy (DESIGN.md §12) when the A
-// operand's zero fraction reaches RERAMDL_SPARSE_THRESHOLD. Bit-identity
-// with the dense kernels holds because per output element the executed
-// double additions are exactly the dense sequence with only zero terms
-// removed, and adding av * b == +/-0.0 to an accumulator is a bitwise no-op
-// (the accumulator can never be -0.0: it starts at +0.0, exact cancellation
-// rounds to +0.0, and +0.0 + (-0.0) = +0.0). Like the dense kernels' own
-// elementwise zero-skip, this assumes finite operands — a skipped
-// 0.0 * inf term would have contributed NaN.
-
-// Compact the nonzero (column index, value) pairs of A rows [i0, i1) into
-// parallel idx/val arrays with CSR-style row offsets (row_start has
-// i1 - i0 + 1 entries). Indices ascend within each row, so iterating a
-// row's compact list preserves the dense kernels' k-ascending order.
-std::size_t compact_block(const float* pa, std::size_t i0, std::size_t i1,
-                          std::size_t k, std::int32_t* idx, float* val,
-                          std::int32_t* row_start) {
-  std::size_t nnz = 0;
-  row_start[0] = 0;
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    for (std::size_t p = 0; p < k; ++p) {
-      if (arow[p] != 0.0f) {
-        idx[nnz] = static_cast<std::int32_t>(p);
-        val[nnz] = arow[p];
-        ++nnz;
-      }
-    }
-    row_start[i - i0 + 1] = static_cast<std::int32_t>(nnz);
-  }
-  return nnz;
-}
-
-// Gather-compacted row block shared by matmul and the packed transposed-b
-// form (their dense kernels have identical loop structure over a [k, n] B).
-// Keeps the dense kernel's j0/p0 panel blocking for B locality: per-row
-// cursors advance monotonically through each row's compact list as the k
-// panels ascend, so every B panel stays hot across the block's rows exactly
-// as in the dense kernel, while zero A elements never load a B row at all.
-RERAMDL_TARGET_CLONES
-void gathered_row_block(const float* pb, float* pc, std::size_t i0,
-                        std::size_t i1, std::size_t k, std::size_t n,
-                        double* acc, const std::int32_t* idx, const float* val,
-                        const std::int32_t* row_start) {
-  const std::size_t bm = i1 - i0;
-  std::int32_t cur[kBlockM];
-  for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-    const std::size_t j1 = std::min(j0 + kBlockN, n);
-    const std::size_t bn = j1 - j0;
-    std::fill(acc, acc + bm * bn, 0.0);
-    for (std::size_t r = 0; r < bm; ++r) cur[r] = row_start[r];
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-      const std::int32_t p1 =
-          static_cast<std::int32_t>(std::min(p0 + kBlockK, k));
-      for (std::size_t r = 0; r < bm; ++r) {
-        double* arow = acc + r * bn;
-        std::int32_t t = cur[r];
-        const std::int32_t tend = row_start[r + 1];
-        for (; t < tend && idx[t] < p1; ++t) {
-          const double av = val[t];
-          const float* brow = pb + static_cast<std::size_t>(idx[t]) * n + j0;
-          for (std::size_t j = 0; j < bn; ++j) arow[j] += av * brow[j];
-        }
-        cur[r] = t;
-      }
-    }
-    for (std::size_t r = 0; r < bm; ++r) {
-      const double* arow = acc + r * bn;
-      float* crow = pc + (i0 + r) * n + j0;
-      for (std::size_t j = 0; j < bn; ++j)
-        crow[j] = static_cast<float>(arow[j]);
-    }
-  }
-}
-
-void gathered_kernel(const float* pa, const float* pb, float* pc,
-                     std::size_t m, std::size_t k, std::size_t n) {
-  parallel::parallel_for(0, m, kBlockM, [&](std::size_t i0, std::size_t i1) {
-    scratch::Buffer<double> acc(kBlockM * kBlockN);
-    scratch::Buffer<std::int32_t> idx(kBlockM * k);
-    scratch::Buffer<float> val(kBlockM * k);
-    scratch::Buffer<std::int32_t> row_start(kBlockM + 1);
-    compact_block(pa, i0, i1, k, idx.data(), val.data(), row_start.data());
-    gathered_row_block(pb, pc, i0, i1, k, n, acc.data(), idx.data(),
-                       val.data(), row_start.data());
-  });
-}
-
-// Scans A once (fused zero/max traversal) and applies the threshold policy.
-// Returns true when the sparse variant should run; fills `out` and the
-// optional per-row bitmap either way (when the policy is enabled).
-bool select_sparse_scan(const Tensor& a, sparsity::ScanStats* out,
-                        std::uint8_t* row_nonzero = nullptr) {
-  if (sparsity::threshold() <= 0.0) return false;
-  const sparsity::ScanStats scan = sparsity::scan_rows(
-      a.data(), a.shape()[0], a.shape()[1], row_nonzero);
-  if (out != nullptr) *out = scan;
-  const bool sparse = sparsity::select_sparse(scan.zero_fraction());
-  sparsity::record_selection(scan.zero_fraction(), sparse);
-  return sparse;
-}
-
 RERAMDL_TARGET_CLONES
 void mm_tb_packed_row_block(const float* pa, const float* pbt, float* pc,
                             std::size_t i0, std::size_t i1, std::size_t k,
@@ -212,21 +109,16 @@ void mm_tb_packed_row_block(const float* pa, const float* pbt, float* pc,
   }
 }
 
-// When row_nonzero is non-null (sparse selection), rows of A that are
-// entirely zero skip the whole [p0, p1) element scan: the dense elementwise
-// av == 0.0 branch would have skipped every one of their terms anyway, so
-// the executed FP sequence — and the result — is unchanged.
 RERAMDL_TARGET_CLONES
 void mm_ta_col_block(const float* pa, const float* pb, float* pc,
                      std::size_t p0, std::size_t p1, std::size_t m,
                      std::size_t k, std::size_t n, bool accumulate,
-                     double* acc, const std::uint8_t* row_nonzero) {
+                     double* acc) {
   for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
     const std::size_t j1 = std::min(j0 + kBlockN, n);
     const std::size_t bn = j1 - j0;
     std::fill(acc, acc + (p1 - p0) * bn, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
-      if (row_nonzero != nullptr && row_nonzero[i] == 0) continue;
       const float* arow = pa + i * k;
       const float* brow = pb + i * n + j0;
       for (std::size_t p = p0; p < p1; ++p) {
@@ -266,12 +158,6 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& c) {
   obs::ScopedHistogramTimer obs_timer("ops.matmul_ns");
   obs_count_matmul("matmul", m, k, n);
   c.reuse(Shape{m, n});
-  sparsity::ScanStats scan;
-  if (select_sparse_scan(a, &scan)) {
-    sparsity::count_rows_skipped(scan.zero_elems);
-    gathered_kernel(a.data(), b.data(), c.data(), m, k, n);
-    return;
-  }
   matmul_kernel(a.data(), b.data(), c.data(), m, k, n);
 }
 
@@ -320,21 +206,8 @@ void matmul_transposed_b_packed_into(const Tensor& a, const Tensor& bt,
   const float* pa = a.data();
   const float* pbt = bt.data();
   float* pc = c.data();
-  // Sparse selection: for ReLU nets the a operand here is the output
-  // gradient, zero wherever the activation was clamped. Skipping those
-  // terms is a bitwise no-op (the accumulator is never -0.0 — see the
-  // sparse-variant block comment), so the gathered kernel reproduces the
-  // dense dot-form FP sequence exactly for finite operands.
-  sparsity::ScanStats scan;
-  if (select_sparse_scan(a, &scan)) {
-    sparsity::count_rows_skipped(scan.zero_elems);
-    gathered_kernel(pa, pbt, pc, m, k, n);
-    return;
-  }
   // Same shape as matmul_kernel, but no elementwise zero-skip branch: the
-  // dot form this replaces sums every k-term, and the branch costs more
-  // than it saves at the low zero fractions the dense path is selected
-  // for. The k-ascending double accumulation per output element reproduces
+  // dot form this replaces sums every k-term. The k-ascending double accumulation per output element reproduces
   // the dot form's FP sequence exactly.
   parallel::parallel_for(0, m, kBlockM, [&](std::size_t i0, std::size_t i1) {
     scratch::Buffer<double> acc(kBlockM * kBlockN);
@@ -357,23 +230,12 @@ void mm_ta_impl(const Tensor& a, const Tensor& b, float* pc, bool accumulate) {
   const std::size_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
   const float* pa = a.data();
   const float* pb = b.data();
-  // Sparse selection: a is the cached im2col activation panel in the
-  // backward dW GEMM — patches over all-zero input regions produce fully
-  // zero rows, which the row bitmap lets every column block skip without
-  // rescanning. Result is unchanged (the elementwise branch would have
-  // skipped each of their terms).
-  scratch::Buffer<std::uint8_t> row_nonzero(m);
-  sparsity::ScanStats scan;
-  const bool sparse = select_sparse_scan(a, &scan, row_nonzero.data());
-  if (sparse) sparsity::count_rows_skipped(scan.zero_rows);
-  const std::uint8_t* flags = sparse ? row_nonzero.data() : nullptr;
   // C rows are indexed by A's k dimension, so parallelizing over k-row
   // blocks keeps output writes disjoint; the i (reduction) loop stays
   // ascending inside each block for a fixed double-accumulation order.
   parallel::parallel_for(0, k, kBlockM, [&](std::size_t p0, std::size_t p1) {
     scratch::Buffer<double> acc(kBlockM * kBlockN);
-    mm_ta_col_block(pa, pb, pc, p0, p1, m, k, n, accumulate, acc.data(),
-                    flags);
+    mm_ta_col_block(pa, pb, pc, p0, p1, m, k, n, accumulate, acc.data());
   });
 }
 
@@ -444,6 +306,33 @@ void column_sums_acc(const Tensor& x, Tensor& acc) {
     for (std::size_t j = 0; j < n; ++j) s[j] += px[i * n + j];
   float* pa = acc.data();
   for (std::size_t j = 0; j < n; ++j) pa[j] += s[j];
+}
+
+double input_range(const Tensor& x) {
+  RERAMDL_CHECK_EQ(x.shape().rank(), 2u);
+  const std::size_t m = x.shape()[0], k = x.shape()[1];
+  // Per-row float maxima from independent row-block chunks, folded serially
+  // in double below.
+  scratch::Buffer<float> row_max(m);
+  const float* px = x.data();
+  parallel::parallel_for(0, m, 64, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float* row = px + i * k;
+      bool finite = true;
+      float r = 0.0f;
+      for (std::size_t j = 0; j < k; ++j) {
+        const float a = std::fabs(row[j]);
+        // False for Inf and NaN; std::max below would drop a NaN.
+        finite &= a <= std::numeric_limits<float>::max();
+        r = std::max(r, a);
+      }
+      row_max[i] = finite ? r : std::numeric_limits<float>::infinity();
+    }
+  });
+  double range = 0.0;
+  for (std::size_t i = 0; i < m; ++i)
+    range = std::max(range, static_cast<double>(row_max[i]));
+  return std::max(range, 1e-12);
 }
 
 Tensor transpose(const Tensor& x) {

@@ -13,14 +13,6 @@
 // result lands in (or accumulates into) a caller-owned tensor instead of a
 // fresh allocation. Each is bit-identical to composing its allocating
 // counterpart with `=` / `+=`.
-//
-// matmul / matmul_transposed_b_packed / matmul_transposed_a additionally
-// carry zero-skipping variants selected at runtime by the sparsity policy
-// (tensor/sparsity.hpp, RERAMDL_SPARSE_THRESHOLD) when the A operand is
-// sparse enough; every variant executes the dense kernel's per-element
-// double-accumulation sequence minus only exact-zero terms, so dense and
-// sparse results are bit-identical for finite operands and the dense path
-// remains the oracle.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -58,6 +50,12 @@ void add_row_bias(Tensor& x, const Tensor& bias);
 Tensor column_sums(const Tensor& x);
 // acc[n] += column_sums(x); bit-identical to acc += column_sums(x).
 void column_sums_acc(const Tensor& x, Tensor& acc);
+
+// Spike-driver input range of a [m,k] matrix: max |x| floored at 1e-12, or
+// +inf when any element is Inf or NaN, so one pass both sizes the range and
+// flags input no crossbar can quantize. Parallel over row blocks; max is
+// association-insensitive, so the result is exact for any RERAMDL_THREADS.
+double input_range(const Tensor& x);
 
 Tensor transpose(const Tensor& x);  // [m,n] -> [n,m]
 // As transpose, but writes into `out` (re-shaped via Tensor::reuse).

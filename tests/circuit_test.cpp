@@ -2,11 +2,9 @@
 
 #include <cmath>
 
-#include "circuit/activation_lut.hpp"
 #include "circuit/crossbar.hpp"
 #include "circuit/crossbar_grid.hpp"
 #include "circuit/integrate_fire.hpp"
-#include "circuit/maxpool_register.hpp"
 #include "circuit/spike_driver.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -270,9 +268,9 @@ TEST(SpikeDriver, SignCarriedByPhase) {
 }
 
 TEST(SpikeDriver, ZeroInputDrivesNoSpikesAndNoEnergy) {
-  // The property the zero-skipping execution path banks on (DESIGN.md §12):
-  // a zero activation encodes to an empty train, so its wordline costs
-  // exactly nothing — no spikes, no modeled drive energy.
+  // Weighted-spike coding (Sec. II-B): a zero activation encodes to an
+  // empty train, so its wordline costs exactly nothing — no spikes, no
+  // modeled drive energy.
   SpikeDriver drv(8, 1.0);
   const SpikeTrain z = drv.encode(0.0);
   EXPECT_EQ(z.spike_count(), 0u);
@@ -311,38 +309,6 @@ TEST(IntegrateFire, SaturatesAtCounterWidth) {
 TEST(IntegrateFire, NegativeChargeThrows) {
   IntegrateFire inf(1.0, 4);
   EXPECT_THROW(inf.convert(-1.0), CheckError);
-}
-
-TEST(ActivationLut, ApproximatesRelu) {
-  ActivationLut lut([](double x) { return x > 0 ? x : 0.0; }, -4.0, 4.0, 10);
-  EXPECT_NEAR(lut.apply(2.0), 2.0, 8.0 / 1024.0 + 1e-9);
-  EXPECT_NEAR(lut.apply(-2.0), 0.0, 1e-9);
-  EXPECT_LT(lut.max_error([](double x) { return x > 0 ? x : 0.0; }), 8.0 / 1023.0);
-}
-
-TEST(ActivationLut, ClampsOutOfRangeInputs) {
-  ActivationLut lut([](double x) { return x; }, -1.0, 1.0, 8);
-  EXPECT_NEAR(lut.apply(100.0), 1.0, 1e-9);
-  EXPECT_NEAR(lut.apply(-100.0), -1.0, 1e-9);
-}
-
-TEST(ActivationLut, MoreBitsReduceError) {
-  const auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
-  ActivationLut coarse(sigmoid, -8.0, 8.0, 4);
-  ActivationLut fine(sigmoid, -8.0, 8.0, 12);
-  EXPECT_LT(fine.max_error(sigmoid), coarse.max_error(sigmoid));
-}
-
-TEST(MaxPoolRegister, TracksRunningMaximum) {
-  MaxPoolRegister reg;
-  reg.observe(1.0);
-  reg.observe(5.0);
-  reg.observe(3.0);
-  EXPECT_DOUBLE_EQ(reg.value(), 5.0);
-  EXPECT_EQ(reg.seen(), 3u);
-  reg.reset();
-  reg.observe(-2.0);
-  EXPECT_DOUBLE_EQ(reg.value(), -2.0);
 }
 
 }  // namespace

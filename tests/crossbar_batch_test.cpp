@@ -16,7 +16,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "device/variation.hpp"
-#include "tensor/sparsity.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
@@ -253,94 +252,14 @@ TEST(CrossbarBatch, EmptyBatchReturnsEmptyOutput) {
   EXPECT_EQ(grid.aggregate_stats().compute_ops, 0u);
 }
 
-// ---- Zero-skipping variant (DESIGN.md §12) ----------------------------------
-
-struct SparsityPolicyGuard {
-  ~SparsityPolicyGuard() { sparsity::set_threshold(-1.0); }
-};
-
-Tensor sparse_batch(std::size_t m, std::size_t k, double zero_prob,
-                    unsigned seed) {
-  Rng rng(seed);
-  Tensor t = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
-  for (std::size_t i = 0; i < t.numel(); ++i)
-    if (rng.uniform(0.0, 1.0) < zero_prob) t[i] = 0.0f;
-  // A couple of fully-zero batch rows, whose compact strips are empty.
-  for (std::size_t j = 0; j < k; ++j) t.at(0, j) = t.at(m / 2, j) = 0.0f;
-  return t;
-}
-
-TEST(CrossbarBatch, SparseVariantBitIdenticalWithIdenticalStats) {
-  ThreadCountGuard guard;
-  SparsityPolicyGuard policy;
-  Rng rng(19);
-  const Tensor w = Tensor::uniform(Shape{150, 120}, rng, -1.0f, 1.0f);
-  const Tensor rows = sparse_batch(33, 150, 0.8, 20);
-
-  parallel::set_thread_count(1);
-  circuit::CrossbarGrid dense_grid(small_grid_config());
-  dense_grid.program(w, 1.0);
-  sparsity::set_threshold(0.0);  // force the dense oracle
-  const Tensor ref = dense_grid.compute_batch(rows, 1.0);
-
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    parallel::set_thread_count(threads);
-    circuit::CrossbarGrid grid(small_grid_config());
-    grid.program(w, 1.0);
-    sparsity::set_threshold(1e-9);  // force the zero-skipping variant
-    const Tensor out = grid.compute_batch(rows, 1.0);
-    ASSERT_EQ(out.shape(), ref.shape());
-    EXPECT_EQ(
-        std::memcmp(out.data(), ref.data(), ref.numel() * sizeof(float)), 0)
-        << "threads=" << threads;
-    // Skipped rows must not perturb any counter: spikes, ops, and the rest
-    // are exactly the dense path's numbers.
-    expect_stats_eq(grid.aggregate_stats(), dense_grid.aggregate_stats());
-  }
-}
-
-TEST(CrossbarBatch, SingleArraySparseVariantBitIdentical) {
-  SparsityPolicyGuard policy;
-  Rng rng(21);
-  circuit::CrossbarConfig cfg;
-  cfg.rows = 64;
-  cfg.cols = 48;
-  const Tensor w = Tensor::uniform(Shape{60, 40}, rng, -1.0f, 1.0f);
-  const Tensor rows = sparse_batch(37, 60, 0.75, 22);
-
-  circuit::Crossbar dense_xbar(cfg);
-  dense_xbar.program(w, 1.0);
-  sparsity::set_threshold(0.0);
-  const Tensor ref = dense_xbar.compute_batch(rows, 1.0);
-
-  circuit::Crossbar xbar(cfg);
-  xbar.program(w, 1.0);
-  sparsity::set_threshold(1e-9);
-  const Tensor out = xbar.compute_batch(rows, 1.0);
-  EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.numel() * sizeof(float)),
-            0);
-  expect_stats_eq(xbar.stats(), dense_xbar.stats());
-}
-
-TEST(CrossbarBatch, AllZeroBatchDrivesNoSpikesUnderEitherVariant) {
-  SparsityPolicyGuard policy;
+TEST(CrossbarBatch, AllZeroBatchDrivesNoSpikes) {
   Rng rng(23);
   circuit::CrossbarGrid grid(small_grid_config());
   grid.program(Tensor::uniform(Shape{96, 64}, rng, -1.0f, 1.0f), 1.0);
-  const Tensor zeros = Tensor::zeros(Shape{8, 96});
+  const Tensor out = grid.compute_batch(Tensor::zeros(Shape{8, 96}), 1.0);
 
-  sparsity::set_threshold(0.0);
-  const Tensor dense_out = grid.compute_batch(zeros, 1.0);
-  sparsity::set_threshold(1e-9);
-  const Tensor sparse_out = grid.compute_batch(zeros, 1.0);
-
-  const circuit::CrossbarStats stats = grid.aggregate_stats();
-  EXPECT_EQ(stats.input_spikes, 0u);  // no wordline ever fires
-  for (std::size_t i = 0; i < dense_out.numel(); ++i) {
-    EXPECT_EQ(dense_out[i], 0.0f);
-    EXPECT_EQ(sparse_out[i], 0.0f);
-  }
+  EXPECT_EQ(grid.aggregate_stats().input_spikes, 0u);  // no wordline fires
+  for (std::size_t i = 0; i < out.numel(); ++i) EXPECT_EQ(out[i], 0.0f);
 }
 
 }  // namespace

@@ -158,7 +158,9 @@ TEST(Planner, MaxLayerArraysClampsReplication) {
   for (const auto& l : bounded.layers) {
     // Clamped to the cap unless a single replica already exceeds it (then
     // the layer keeps X = 1).
-    if (l.arrays() > cap) EXPECT_EQ(l.replication, 1u);
+    if (l.arrays() > cap) {
+      EXPECT_EQ(l.replication, 1u);
+    }
   }
   EXPECT_LE(bounded.total_arrays(), unbounded.total_arrays());
 }

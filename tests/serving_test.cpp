@@ -285,7 +285,9 @@ TEST_F(ServingTest, TraceGenerationIsDeterministicAndSorted) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].tenant, b[i].tenant);
     EXPECT_EQ(a[i].arrival_us, b[i].arrival_us);
-    if (i > 0) EXPECT_GE(a[i].arrival_us, a[i - 1].arrival_us);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_us, a[i - 1].arrival_us);
+    }
     ASSERT_EQ(a[i].input.numel(), b[i].input.numel());
     EXPECT_EQ(std::memcmp(a[i].input.data(), b[i].input.data(),
                           a[i].input.numel() * sizeof(float)),
@@ -341,11 +343,12 @@ TEST_F(ServingTest, ReplayBitReproducibleAcrossThreadCounts) {
       EXPECT_EQ(got[i].done_us, ref[i].done_us);
       EXPECT_EQ(got[i].batch_size, ref[i].batch_size);
       ASSERT_EQ(got[i].output.numel(), ref[i].output.numel());
-      if (got[i].output.numel() > 0)
+      if (got[i].output.numel() > 0) {
         EXPECT_EQ(std::memcmp(got[i].output.data(), ref[i].output.data(),
                               ref[i].output.numel() * sizeof(float)),
                   0)
             << "output bytes differ for request " << ref[i].id;
+      }
     }
   }
 }

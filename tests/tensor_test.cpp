@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "common/check.hpp"
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "common/scratch.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -188,6 +194,86 @@ TEST(Ops, TransposeInvolution) {
   const Tensor x = Tensor::normal(Shape{4, 7}, rng, 0.0f, 1.0f);
   const Tensor tt = ops::transpose(ops::transpose(x));
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(tt[i], x[i]);
+}
+
+// Restores the pool's thread count no matter how a test exits.
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { parallel::set_thread_count(0); }
+};
+
+// Uniform [-1, 1) matrix with each element zeroed with probability zero_prob.
+Tensor with_zeros(std::size_t m, std::size_t k, double zero_prob,
+                  unsigned seed) {
+  Rng rng(seed);
+  Tensor t = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    if (rng.uniform(0.0, 1.0) < zero_prob) t[i] = 0.0f;
+  return t;
+}
+
+TEST(Ops, MatmulZeroRowsInAProduceZeroOutputRows) {
+  Tensor a = with_zeros(40, 60, 0.7, 31);
+  for (std::size_t j = 0; j < 60; ++j) a.at(3, j) = 0.0f;  // force a zero row
+  Rng rng(6);
+  const Tensor b = Tensor::uniform(Shape{60, 20}, rng, -1.0f, 1.0f);
+  const Tensor c = ops::matmul(a, b);
+  for (std::size_t j = 0; j < 20; ++j) EXPECT_EQ(c.at(3, j), 0.0f);
+}
+
+TEST(Ops, MatmulScratchLedgerStopsGrowingAfterWarmup) {
+  ThreadCountGuard guard;
+  parallel::set_thread_count(1);
+  const Tensor a = with_zeros(96, 96, 0.75, 53);
+  Rng rng(8);
+  const Tensor b = Tensor::uniform(Shape{96, 48}, rng, -1.0f, 1.0f);
+
+  for (int i = 0; i < 2; ++i) (void)ops::matmul(a, b);  // warm the pools
+  const std::size_t warm_bytes = scratch::buffer_bytes_allocated();
+  const std::uint64_t warm_growths = scratch::buffer_growth_events();
+  for (int i = 0; i < 8; ++i) (void)ops::matmul(a, b);
+  EXPECT_EQ(scratch::buffer_bytes_allocated(), warm_bytes);
+  EXPECT_EQ(scratch::buffer_growth_events(), warm_growths);
+}
+
+// ---- input_range (the crossbar executor's spike-driver range) -------------
+
+TEST(InputRange, MaxAbsAndNonFiniteElements) {
+  // Row 1 is all-zero; row 2 holds the max.
+  Tensor a(Shape{3, 4});
+  const float vals[12] = {0.5f, 0.0f, -0.25f, 0.0f,  //
+                          0.0f, 0.0f, 0.0f,   0.0f,  //
+                          0.0f, 2.5f, -3.0f,  1.0f};
+  std::memcpy(a.data(), vals, sizeof(vals));
+  EXPECT_DOUBLE_EQ(ops::input_range(a), 3.0);
+  // One Inf or NaN anywhere makes the range infinite (std::max alone would
+  // drop the NaN).
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    a[5] = bad;
+    EXPECT_EQ(ops::input_range(a), std::numeric_limits<double>::infinity())
+        << bad;
+  }
+}
+
+TEST(InputRange, AllZeroMatrixFloorsAtDriverEpsilon) {
+  // Still a valid spike-driver range.
+  EXPECT_DOUBLE_EQ(ops::input_range(Tensor::zeros(Shape{5, 7})), 1e-12);
+}
+
+TEST(InputRange, EmptyMatrixFloorsAtDriverEpsilon) {
+  EXPECT_DOUBLE_EQ(ops::input_range(Tensor(Shape{0, 0})), 1e-12);
+  EXPECT_DOUBLE_EQ(ops::input_range(Tensor(Shape{0, 4})), 1e-12);
+}
+
+TEST(InputRange, ExactAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  const Tensor a = with_zeros(301, 97, 0.6, 17);
+  parallel::set_thread_count(1);
+  const double ref = ops::input_range(a);
+  for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
+    parallel::set_thread_count(threads);
+    EXPECT_EQ(ops::input_range(a), ref) << "threads=" << threads;
+  }
 }
 
 }  // namespace

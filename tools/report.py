@@ -2,7 +2,7 @@
 """Render or diff reramdl run reports (RERAMDL_REPORT -> run_report.json).
 
 Summary mode prints the attribution tree (latency / energy / flops /
-utilization / sparsity effectiveness per node), the percentile view of every
+utilization per node), the percentile view of every
 histogram, and the time-series coverage:
 
     tools/report.py run_report.json [--depth=N]
@@ -50,9 +50,6 @@ def node_cells(node):
         fmt_si(total.get(ENE), "pJ") if ENE in total else "-",
         fmt_si(total.get(FLOPS)) if FLOPS in total else "-",
         f"{node['utilization'] * 100:.1f}%" if "utilization" in node else "-",
-        f"{node['sparsity_effectiveness'] * 100:.1f}%"
-        if "sparsity_effectiveness" in node
-        else "-",
     ]
     return cells
 
@@ -96,7 +93,7 @@ def summarize(doc, depth):
         walk(top, top["name"], 0)
     print("attribution (rollup totals per node)")
     print_table(
-        ["node", "latency", "energy", "flops", "util", "sparsity-eff"], rows
+        ["node", "latency", "energy", "flops", "util"], rows
     )
     print()
 

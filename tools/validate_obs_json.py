@@ -199,20 +199,13 @@ def check_attribution_node(path, node, where):
         require(close(v, node["total"][k]), path,
                 f"{where} total[{k}] {node['total'][k]} != "
                 f"self+children {v}")
-    # Derived ratios are re-derivable from the emitted totals.
+    # The derived ratio is re-derivable from the emitted totals.
     if "utilization" in node:
         require(node["total"].get("roofline_flops", 0) > 0, path,
                 f"{where} utilization without roofline_flops")
         require(close(node["utilization"] * node["total"]["roofline_flops"],
                       node["total"].get("flops", 0.0)), path,
                 f"{where} utilization inconsistent")
-    if "sparsity_effectiveness" in node:
-        require(node["total"].get("zeros_potential", 0) > 0, path,
-                f"{where} sparsity_effectiveness without zeros_potential")
-        require(close(node["sparsity_effectiveness"] *
-                      node["total"]["zeros_potential"],
-                      node["total"].get("zeros_skipped", 0.0)), path,
-                f"{where} sparsity_effectiveness inconsistent")
     return node["total"]
 
 
@@ -397,65 +390,6 @@ def validate_maintenance(path, doc):
                 k for k, v in checks.items() if not v))
     print(f"{path}: maintenance ok ({len(configs)} configs x "
           f"{life['epochs']} epochs, off retained {off_retained:.3f})")
-
-
-def validate_sparse_mvm(path, doc):
-    require(doc.get("schema_version") == 1, path, "bad schema_version")
-    require(isinstance(doc.get("workload"), str), path, "missing workload")
-    require(isinstance(doc.get("quick"), bool), path, "bad quick flag")
-    threads = doc.get("threads")
-    require(isinstance(threads, list) and threads, path, "missing threads")
-    batches = doc.get("batch_sizes")
-    require(isinstance(batches, list) and batches and
-            all(isinstance(x, int) for x in batches), path, "bad batch_sizes")
-    levels = doc.get("sparsity_levels")
-    require(isinstance(levels, list) and levels and
-            all(is_num(x) and 0.0 <= x <= 1.0 for x in levels), path,
-            "bad sparsity_levels")
-    for key in ("scratch_buffer_bytes", "scratch_buffer_growth_events"):
-        require(isinstance(doc.get(key), int) and doc[key] >= 0, path,
-                f"bad {key}")
-    sweeps = doc.get("sweeps")
-    require(isinstance(sweeps, list) and sweeps, path, "missing sweeps")
-    for s in sweeps:
-        shape = s.get("shape")
-        require(isinstance(shape, str), path, "sweep missing shape")
-        for key in ("shape_rows", "shape_cols", "batch"):
-            require(isinstance(s.get(key), int) and s[key] >= 0, path,
-                    f"sweep {shape} bad {key}")
-        require(is_num(s.get("sparsity")) and 0.0 <= s["sparsity"] <= 1.0,
-                path, f"sweep {shape} bad sparsity")
-        require(s["sparsity"] in doc["sparsity_levels"], path,
-                f"sweep {shape} sparsity not in sparsity_levels")
-        require(s["batch"] in doc["batch_sizes"], path,
-                f"sweep {shape} batch not in batch_sizes")
-        for key in ("dense_time_ms", "sparse_time_ms",
-                    "speedup_sparse_vs_dense"):
-            arr = s.get(key)
-            require(isinstance(arr, list) and len(arr) == len(threads), path,
-                    f"sweep {shape} bad {key}")
-            require(all(is_num(x) and x >= 0 for x in arr), path,
-                    f"sweep {shape} non-numeric {key}")
-        for key in ("dense_summary", "sparse_summary"):
-            arr = s.get(key)
-            require(isinstance(arr, list) and len(arr) == len(threads), path,
-                    f"sweep {shape} bad {key}")
-            for t, summary in enumerate(arr):
-                check_sample_summary(path, f"sweep {shape} {key}[{t}]",
-                                     summary)
-    for key in ("accept_sparsity", "accept_batch", "best_speedup_75_b32_8t"):
-        require(is_num(doc.get(key)), path, f"bad {key}")
-    require(isinstance(doc.get("best_shape_75_b32_8t"), str), path,
-            "bad best_shape_75_b32_8t")
-    require(isinstance(doc.get("meets_1p5x_target"), bool), path,
-            "bad meets_1p5x_target")
-    # The correctness contract is a hard gate (perf is advisory, reported via
-    # meets_1p5x_target): the sparse variant must be bitwise dense-identical,
-    # leave CrossbarStats unperturbed, and hold the scratch ledger steady.
-    for key in ("bit_identical", "stats_identical", "scratch_ledger_steady"):
-        require(doc.get(key) is True, path, f"contract violated: {key}")
-    print(f"{path}: sparse_mvm ok ({len(sweeps)} sweeps, "
-          f"best 75%/b32/8t speedup {doc['best_speedup_75_b32_8t']:.2f}x)")
 
 
 def validate_serving(path, doc):
@@ -653,8 +587,6 @@ def main(argv):
             validate_fault_campaign(path, doc)
         elif doc.get("bench") == "maintenance":
             validate_maintenance(path, doc)
-        elif doc.get("bench") == "sparse_mvm":
-            validate_sparse_mvm(path, doc)
         elif doc.get("bench") == "serving":
             validate_serving(path, doc)
         elif doc.get("bench") == "noc":
