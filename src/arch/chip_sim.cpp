@@ -11,6 +11,22 @@
 
 namespace reramdl::arch {
 
+namespace {
+
+// Trace name of a NoC transfer, "b3->b5" or "L1->L2". Built by appending,
+// because GCC 12 flags the `"b" + std::to_string(x)` form with a false
+// -Wrestrict warning.
+std::string link_name(char kind, std::size_t from, std::size_t to) {
+  std::string name(1, kind);
+  name += std::to_string(from);
+  name += "->";
+  name += kind;
+  name += std::to_string(to);
+  return name;
+}
+
+}  // namespace
+
 ChipSimulator::ChipSimulator(const ChipConfig& chip,
                              mapping::NetworkMapping mapping,
                              Placement placement)
@@ -145,9 +161,8 @@ ChipRunReport ChipSimulator::run(bool training, std::size_t batch) {
       for (std::size_t t = 0; t < requests.size(); ++t) {
         const auto& timing = sim.transfers[t];
         obs::emit_complete(
-            "b" + std::to_string(requests[t].from) + "->b" +
-                std::to_string(requests[t].to),
-            "noc", noc_cursor_us + timing.start_ns * 1e-3,
+            link_name('b', requests[t].from, requests[t].to), "noc",
+            noc_cursor_us + timing.start_ns * 1e-3,
             (timing.done_ns - timing.start_ns) * 1e-3,
             static_cast<int>(by_bank.size()), trace_pid_);
       }
@@ -185,10 +200,9 @@ ChipRunReport ChipSimulator::run(bool training, std::size_t batch) {
       report.energy.add("noc",
                         passes * noc_.transfer_energy_pj(from, to, bytes));
       if (tracing) {
-        obs::emit_complete(
-            "L" + std::to_string(i) + "->L" + std::to_string(i + 1), "noc",
-            noc_cursor_us, transfer_ns * 1e-3,
-            static_cast<int>(by_bank.size()), trace_pid_);
+        obs::emit_complete(link_name('L', i, i + 1), "noc", noc_cursor_us,
+                           transfer_ns * 1e-3,
+                           static_cast<int>(by_bank.size()), trace_pid_);
         noc_cursor_us += transfer_ns * 1e-3;
       }
     }

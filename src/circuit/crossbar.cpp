@@ -1,7 +1,6 @@
 #include "circuit/crossbar.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -132,10 +131,6 @@ void Crossbar::program(const Tensor& weights, double w_max,
 void Crossbar::program(const Tensor& weights, double w_max,
                        const ProgramOptions& opts) {
   RERAMDL_CHECK_EQ(weights.shape().rank(), 2u);
-  // Snapshot for the write-verify obs counter below: stats_ accumulates
-  // across reprograms, the counter books only this pass's retries.
-  const std::uint64_t retries_before = stats_.verify_retries;
-  const std::uint64_t defects_before = stats_.defective_cells;
   r_ = weights.shape()[0];
   c_ = weights.shape()[1];
   RERAMDL_CHECK_LE(r_, config_.rows);
@@ -145,14 +140,12 @@ void Crossbar::program(const Tensor& weights, double w_max,
   w_max_ = w_max;
 
   const std::size_t num_slices = config_.slices();
-  const std::size_t bpc = config_.cell.bits_per_cell;
-  const double slice_max =
-      static_cast<double>((std::uint64_t{1} << bpc) - 1);
   const device::LinearQuantizer wq(config_.weight_bits, w_max);
 
   fault_map_ = device::FaultMap(opts.faults);
   if (opts.faults.enabled())
-    fault_map_.bind(num_slices, bpc, config_.rows, config_.cols);
+    fault_map_.bind(num_slices, config_.cell.bits_per_cell, config_.rows,
+                    config_.cols);
 
   col_phys_.assign(c_, kNoCol);
   phys_owner_.assign(config_.cols, kNoCol);
@@ -161,8 +154,65 @@ void Crossbar::program(const Tensor& weights, double w_max,
     phys_owner_[j] = j;
   }
 
-  levels_.assign(num_slices,
-                 std::vector<std::vector<double>>(2, std::vector<double>(r_ * c_, 0.0)));
+  // Resized in place: a reprogrammed array keeps its level storage.
+  levels_.resize(num_slices);
+  for (auto& slice : levels_) {
+    slice.resize(2);
+    for (auto& polarity : slice) polarity.assign(r_ * c_, 0.0);
+  }
+
+  if (opts.variation == nullptr && !opts.faults.enabled() &&
+      !opts.write_verify) {
+    program_ideal(weights, wq);
+  } else {
+    program_nonideal(weights, wq, opts);
+  }
+
+  // Reset the health clock: a full reprogram restores every level to its
+  // write-verified target, so drift and age restart from zero.
+  age_seconds_ = 0.0;
+  cumulative_drift_ = 1.0;
+  ++program_passes_;
+}
+
+void Crossbar::program_ideal(const Tensor& weights,
+                             const device::LinearQuantizer& wq) {
+  // Every cell lands exactly on its bit-slice target, so no per-cell
+  // program_cell call is needed, and W_eff[i,j] is the signed level itself:
+  // the slice-ascending collapse of integer slices is exact in double, and
+  // a zero level collapses to +0.0 either way. This writes the same levels
+  // and W_eff as the per-cell path below followed by rebuild_w_eff().
+  const std::size_t bpc = config_.cell.bits_per_cell;
+  const std::uint64_t slice_mask = (std::uint64_t{1} << bpc) - 1;
+  w_eff_.resize(r_ * c_);
+  wq.quantize_levels(weights.data(), r_ * c_, w_eff_.data());
+  for (std::size_t e = 0; e < r_ * c_; ++e) {
+    const auto q = static_cast<std::int64_t>(w_eff_[e]);
+    const std::size_t polarity = q < 0 ? 1 : 0;
+    const auto mag = static_cast<std::uint64_t>(q < 0 ? -q : q);
+    // The magnitude must fit in the slices (bit_slice's check; only a NaN
+    // weight can break it).
+    RERAMDL_CHECK_LE(mag, static_cast<std::uint64_t>(wq.max_level()));
+    for (std::size_t s = 0; s < levels_.size(); ++s)
+      levels_[s][polarity][e] =
+          static_cast<double>((mag >> (s * bpc)) & slice_mask);
+  }
+  stats_.programmed_cells += r_ * c_ * levels_.size() * 2;
+  cur_stuck_cells_ = 0;
+  cur_defective_cells_ = 0;
+  cur_spares_consumed_ = 0;
+}
+
+void Crossbar::program_nonideal(const Tensor& weights,
+                                const device::LinearQuantizer& wq,
+                                const ProgramOptions& opts) {
+  // Snapshot for the write-verify obs counter below: stats_ accumulates
+  // across reprograms, the counter books only this pass's retries.
+  const std::uint64_t retries_before = stats_.verify_retries;
+  const std::uint64_t defects_before = stats_.defective_cells;
+  const std::size_t num_slices = config_.slices();
+  const double slice_max =
+      static_cast<double>((std::uint64_t{1} << config_.cell.bits_per_cell) - 1);
 
   // Initial programming, one logical column at a time onto its primary
   // bitline. Columns that still hold defective cells after write-verify
@@ -257,11 +307,6 @@ void Crossbar::program(const Tensor& weights, double w_max,
   }
   rebuild_w_eff();
 
-  // Reset the health clock: a full reprogram restores every level to its
-  // write-verified target, so drift and age restart from zero.
-  age_seconds_ = 0.0;
-  cumulative_drift_ = 1.0;
-  ++program_passes_;
   cur_stuck_cells_ = stuck_active;
   cur_defective_cells_ = stats_.defective_cells - defects_before;
   // Spares consumed includes bitlines burned by failed remap trials, not
@@ -440,12 +485,11 @@ void Crossbar::compute(const float* x, std::size_t n, double x_max, float* y) {
   }
 
   const device::LinearQuantizer xq(config_.input_bits, x_max);
+  scratch::Buffer<double> x_levels(r_);
+  stats_.input_spikes += xq.quantize_levels(x, r_, x_levels.data());
   scratch::Buffer<std::int64_t> x_int(r_);
-  for (std::size_t i = 0; i < r_; ++i) {
-    x_int[i] = xq.quantize(x[i]);
-    const std::uint64_t mag = static_cast<std::uint64_t>(std::llabs(x_int[i]));
-    stats_.input_spikes += static_cast<std::uint64_t>(std::popcount(mag));
-  }
+  for (std::size_t i = 0; i < r_; ++i)
+    x_int[i] = static_cast<std::int64_t>(x_levels[i]);
 
   scratch::Buffer<double> acc(c_);
   std::fill(acc.begin(), acc.end(), 0.0);
@@ -495,17 +539,19 @@ std::uint64_t Crossbar::quantize_batch(const float* rows, std::size_t m,
                                        double* xt) const {
   RERAMDL_CHECK_GT(x_max, 0.0);
   const device::LinearQuantizer xq(config_.input_bits, x_max);
-  // Transposed to [i][b] so the kernel's inner row loop reads contiguously.
+  // Quantized row-major (one call when the rows are contiguous), then
+  // transposed to [i][b] so the kernel's inner row loop reads contiguously.
+  scratch::Buffer<double> levels(m * r_);
   std::uint64_t spikes = 0;
-  for (std::size_t b = 0; b < m; ++b) {
-    const float* xrow = rows + b * row_stride;
-    for (std::size_t i = 0; i < r_; ++i) {
-      const std::int64_t q = xq.quantize(xrow[i]);
-      const std::uint64_t mag = static_cast<std::uint64_t>(std::llabs(q));
-      spikes += static_cast<std::uint64_t>(std::popcount(mag));
-      xt[i * m + b] = static_cast<double>(q);
-    }
+  if (row_stride == r_) {
+    spikes = xq.quantize_levels(rows, m * r_, levels.data());
+  } else {
+    for (std::size_t b = 0; b < m; ++b)
+      spikes += xq.quantize_levels(rows + b * row_stride, r_,
+                                   levels.data() + b * r_);
   }
+  for (std::size_t b = 0; b < m; ++b)
+    for (std::size_t i = 0; i < r_; ++i) xt[i * m + b] = levels[b * r_ + i];
   return spikes;
 }
 
@@ -536,9 +582,11 @@ std::vector<float> Crossbar::compute_reference(const std::vector<float>& x,
   const std::size_t num_slices = levels_.size();
   const std::size_t bpc = config_.cell.bits_per_cell;
 
+  std::vector<double> x_levels(r_);
+  xq.quantize_levels(x.data(), r_, x_levels.data());
   std::vector<double> acc(c_, 0.0);
   for (std::size_t i = 0; i < r_; ++i) {
-    const double xi = static_cast<double>(xq.quantize(x[i]));
+    const double xi = x_levels[i];
     if (xi == 0.0) continue;
     const std::size_t base = i * c_;
     for (std::size_t j = 0; j < c_; ++j) {

@@ -233,6 +233,14 @@ class Crossbar {
   // Current-state condition report (see CrossbarHealth).
   CrossbarHealth health() const;
 
+  // Zero the lifetime counters (stats and program passes) so the next
+  // program() leaves the array exactly as it would leave a newly
+  // constructed one; CrossbarGrid::program reuses its tiles this way.
+  void reset_counters() {
+    stats_ = CrossbarStats{};
+    program_passes_ = 0;
+  }
+
   // Fold an externally accumulated stats delta (from compute_batch_block)
   // into this array's counters.
   void merge_stats(const CrossbarStats& delta) { stats_ += delta; }
@@ -261,6 +269,13 @@ class Crossbar {
     std::vector<std::size_t> defects;
   };
 
+  // The two halves of program(): the ideal-write branch (no variation, no
+  // fault map, no write-verify) writes the levels and W_eff directly; every
+  // other option set runs the per-cell path with verify and remapping.
+  void program_ideal(const Tensor& weights, const device::LinearQuantizer& wq);
+  void program_nonideal(const Tensor& weights,
+                        const device::LinearQuantizer& wq,
+                        const ProgramOptions& opts);
   ColumnProgram program_column(const Tensor& weights,
                                const device::LinearQuantizer& wq,
                                std::size_t j, std::size_t phys_col,

@@ -29,12 +29,14 @@ void CrossbarGrid::program(const Tensor& weights, double w_max,
   col_tiles_ = (total_cols_ + data_cols - 1) / data_cols;
   w_max_ = w_max;
 
-  arrays_.clear();
-  arrays_.reserve(row_tiles_ * col_tiles_);
-  for (std::size_t t = 0; t < row_tiles_ * col_tiles_; ++t) {
-    Crossbar xbar(config_);
-    xbar.program(extract_tile(weights, t), w_max, tile_options(opts, t));
-    arrays_.push_back(std::move(xbar));
+  // Tiles are reused in place (their level and W_eff storage survives);
+  // reset_counters() makes each read exactly like a freshly built array.
+  arrays_.resize(row_tiles_ * col_tiles_, Crossbar(config_));
+  Tensor tile;
+  for (std::size_t t = 0; t < arrays_.size(); ++t) {
+    extract_tile(weights, t, tile);
+    arrays_[t].reset_counters();
+    arrays_[t].program(tile, w_max, tile_options(opts, t));
   }
   attribute_program_stats();
 }
@@ -54,7 +56,8 @@ ProgramOptions CrossbarGrid::tile_options(const ProgramOptions& opts,
   return tile_opts;
 }
 
-Tensor CrossbarGrid::extract_tile(const Tensor& weights, std::size_t t) const {
+void CrossbarGrid::extract_tile(const Tensor& weights, std::size_t t,
+                                Tensor& tile) const {
   const std::size_t data_cols = config_.data_cols();
   const std::size_t rt = t / col_tiles_;
   const std::size_t ct = t % col_tiles_;
@@ -62,11 +65,11 @@ Tensor CrossbarGrid::extract_tile(const Tensor& weights, std::size_t t) const {
   const std::size_t r1 = std::min(r0 + config_.rows, total_rows_);
   const std::size_t c0 = ct * data_cols;
   const std::size_t c1 = std::min(c0 + data_cols, total_cols_);
-  Tensor tile(Shape{r1 - r0, c1 - c0});
-  for (std::size_t i = r0; i < r1; ++i)
-    for (std::size_t j = c0; j < c1; ++j)
-      tile.at(i - r0, j - c0) = weights.at(i, j);
-  return tile;
+  tile.reuse(Shape{r1 - r0, c1 - c0});
+  const float* src = weights.data() + r0 * total_cols_ + c0;
+  float* dst = tile.data();
+  for (std::size_t i = r0; i < r1; ++i, src += total_cols_, dst += c1 - c0)
+    std::copy(src, src + (c1 - c0), dst);
 }
 
 void CrossbarGrid::set_tile_phys_map(std::vector<std::size_t> map) {
@@ -82,8 +85,9 @@ std::uint64_t CrossbarGrid::refresh_tile(std::size_t t, const Tensor& weights,
   RERAMDL_CHECK_EQ(weights.shape()[0], total_rows_);
   RERAMDL_CHECK_EQ(weights.shape()[1], total_cols_);
   const std::uint64_t before = arrays_[t].stats().programmed_cells;
-  arrays_[t].program(extract_tile(weights, t), w_max_,
-                     tile_options(opts, t));
+  Tensor tile;
+  extract_tile(weights, t, tile);
+  arrays_[t].program(tile, w_max_, tile_options(opts, t));
   return arrays_[t].stats().programmed_cells - before;
 }
 
@@ -221,71 +225,56 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
   // window) and a cap on the partial-sum staging buffer; the batch is
   // processed in macro-chunks so arbitrarily large m (im2col row counts)
   // keeps bounded memory. Neither affects results: per-row arithmetic is
-  // independent and the merge order below is fixed.
+  // independent and the merge order below is fixed. Staging is sized to the
+  // largest tile, not the array geometry: a partial row holds pcols floats.
   constexpr std::size_t kBlock = 32;
   constexpr std::size_t kMaxPartialFloats = 8u << 20;  // 32 MiB staging cap
-  const std::size_t per_row = arrays_.size() * config_.cols;
+  const std::size_t pcols = std::min(config_.data_cols(), total_cols_);
+  const std::size_t srows = std::min(config_.rows, total_rows_);
+  const std::size_t per_row = arrays_.size() * pcols;
   std::size_t chunk = std::max<std::size_t>(
       kBlock, kMaxPartialFloats / std::max<std::size_t>(per_row, 1));
   chunk = std::min(chunk, m);
 
-  const std::size_t max_blocks = (chunk + kBlock - 1) / kBlock;
-  scratch::Buffer<float> partials(arrays_.size() * chunk * config_.cols);
-  // Quantized input blocks, one region per (row-strip, row-block). Every
-  // column tile of a strip sees the same input segment, so quantization
-  // (division + llround + popcount per element — measurable at batch scale)
-  // runs once per strip instead of once per tile; each slot holds its
-  // block transposed.
-  scratch::Buffer<double> xt(row_tiles_ * max_blocks * config_.rows * kBlock);
-  std::vector<std::uint64_t> strip_spikes;
+  scratch::Buffer<float> partials(arrays_.size() * chunk * pcols);
   std::vector<CrossbarStats> deltas;
   for (std::size_t b0 = 0; b0 < m; b0 += chunk) {
     const std::size_t cm = std::min(chunk, m - b0);
     const std::size_t nblocks = (cm + kBlock - 1) / kBlock;
-    const std::size_t qitems = row_tiles_ * nblocks;
-    const std::size_t items = arrays_.size() * nblocks;
-    strip_spikes.assign(qitems, 0);
-    deltas.assign(items, CrossbarStats{});
+    deltas.assign(arrays_.size() * nblocks, CrossbarStats{});
 
-    // Phase 1 — one work item per (row-strip, row-block): quantize the
-    // block's input segment into its staging slot and record the strip's
-    // spike popcount.
-    parallel::parallel_for(0, qitems, 1, [&](std::size_t w0, std::size_t w1) {
+    // One work item per (row-strip, row-block). It quantizes the block's
+    // input segment once (every column tile of a strip drives the same
+    // spikes, so quantization runs once per strip, not once per tile) and
+    // runs each of the strip's tiles on it while the levels are still in
+    // L1. Writes land in disjoint partial slots; stats accumulate into
+    // per-(tile, block) deltas, each tile credited with its strip's spike
+    // count (exactly what it would have counted quantizing its own slice),
+    // and merge serially after.
+    parallel::parallel_for(0, row_tiles_ * nblocks, 1, [&](std::size_t w0,
+                                                           std::size_t w1) {
+      scratch::Buffer<double> xt(srows * kBlock);
       for (std::size_t w = w0; w < w1; ++w) {
         const std::size_t rt = w / nblocks;
         const std::size_t blk = w % nblocks;
-        const std::size_t r0 = rt * config_.rows;
         const std::size_t bb = blk * kBlock;
         const std::size_t bm = std::min(kBlock, cm - bb);
-        const Crossbar& strip = arrays_[rt * col_tiles_];
-        const float* seg = rows.data() + (b0 + bb) * total_rows_ + r0;
-        strip_spikes[w] = strip.quantize_batch(
-            seg, bm, total_rows_, x_max, xt.data() + w * config_.rows * kBlock);
+        const float* seg =
+            rows.data() + (b0 + bb) * total_rows_ + rt * config_.rows;
+        const std::uint64_t spikes = arrays_[rt * col_tiles_].quantize_batch(
+            seg, bm, total_rows_, x_max, xt.data());
+        for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
+          const std::size_t t = rt * col_tiles_ + ct;
+          CrossbarStats& delta = deltas[t * nblocks + blk];
+          delta.input_spikes += spikes;
+          float* dst = partials.data() + (t * chunk + bb) * pcols;
+          arrays_[t].compute_batch_prequant(xt.data(), bm, x_max, dst, pcols,
+                                            delta);
+        }
       }
     });
 
-    // Phase 2 — one work item per (tile, row-block): run the collapsed
-    // blocked kernel on the shared pre-quantized block. Writes land in
-    // disjoint partial slots; stats accumulate into per-item deltas (each
-    // tile credited with its strip's spike count, exactly what it would
-    // have counted quantizing its own slice) and merge serially after.
-    parallel::parallel_for(0, items, 1, [&](std::size_t w0, std::size_t w1) {
-      for (std::size_t w = w0; w < w1; ++w) {
-        const std::size_t t = w / nblocks;
-        const std::size_t blk = w % nblocks;
-        const std::size_t rt = t / col_tiles_;
-        const std::size_t bb = blk * kBlock;
-        const std::size_t bm = std::min(kBlock, cm - bb);
-        const std::size_t q = rt * nblocks + blk;
-        const std::size_t off = q * config_.rows * kBlock;
-        deltas[w].input_spikes += strip_spikes[q];
-        float* dst = partials.data() + (t * chunk + bb) * config_.cols;
-        arrays_[t].compute_batch_prequant(xt.data() + off, bm, x_max, dst,
-                                          config_.cols, deltas[w]);
-      }
-    });
-
-    for (std::size_t w = 0; w < items; ++w) {
+    for (std::size_t w = 0; w < deltas.size(); ++w) {
       arrays_[w / nblocks].merge_stats(deltas[w]);
       if (attributing) tile_deltas[w / nblocks] += deltas[w];
     }
@@ -298,8 +287,7 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
         for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
           const std::size_t t = rt * col_tiles_ + ct;
           const std::size_t c0 = ct * config_.data_cols();
-          const float* partial =
-              partials.data() + (t * chunk + b) * config_.cols;
+          const float* partial = partials.data() + (t * chunk + b) * pcols;
           const std::size_t cw = arrays_[t].active_cols();
           for (std::size_t j = 0; j < cw; ++j) orow[c0 + j] += partial[j];
         }

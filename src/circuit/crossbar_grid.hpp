@@ -109,7 +109,9 @@ class CrossbarGrid {
   std::size_t tile_fault_salt(std::size_t t) const;
   ProgramOptions tile_options(const ProgramOptions& opts,
                               std::size_t t) const;
-  Tensor extract_tile(const Tensor& weights, std::size_t t) const;
+  // Copies tile t of `weights` into `tile`, reshaping it in place (grow-only
+  // storage, so one staging tensor serves every tile of a grid).
+  void extract_tile(const Tensor& weights, std::size_t t, Tensor& tile) const;
   // Books programming-time per-tile stats (verify retries, remaps) under
   // the attribution label; called at the end of program().
   void attribute_program_stats() const;

@@ -36,6 +36,13 @@ class LinearQuantizer {
                                       static_cast<double>(max_level_));
     return static_cast<std::int64_t>(std::llround(clamped));
   }
+  // quantize() over n values at once: out[k] = quantize(x[k]) as a double
+  // for every non-NaN x[k], and the return value is the total popcount of
+  // the level magnitudes (the spikes the drivers emit for them). One
+  // vectorized routine serves every input-quantization site; see
+  // quantizer.cpp for why it is bit-exact.
+  std::uint64_t quantize_levels(const float* x, std::size_t n,
+                                double* out) const;
   // signed integer level -> value.
   double dequantize(std::int64_t level) const {
     return static_cast<double>(level) * step_;

@@ -1,6 +1,8 @@
 #include "nn/activations.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -18,26 +20,45 @@ LayerSpec passthrough_spec(const char* name, std::size_t c, std::size_t h,
   return l;
 }
 
+// x > 0 as an integer test of the bit pattern (positive sign, nonzero, not
+// NaN). GCC keeps a branch for the float compare, which may trap, so the
+// loops below would not vectorize with it.
+bool positive(float v) {
+  return std::bit_cast<std::uint32_t>(v) - 1u < 0x7f800000u;
+}
+
 }  // namespace
 
+// The backward mask is the output's sign: y > 0 exactly where x > 0, and y
+// is +0.0 everywhere else (NaN and -0.0 included). Both loops are
+// branch-free selects with the old per-element results.
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  if (train) mask_.assign(x.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] > 0.0f) {
-      if (train) mask_[i] = true;
-    } else {
-      y[i] = 0.0f;
-    }
+  const std::size_t n = x.numel();
+  Tensor y(x.shape());
+  const float* px = x.data();
+  float* py = y.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = px[i];
+    py[i] = positive(v) ? v : 0.0f;
+  }
+  if (train) {
+    mask_.resize(n);
+    std::uint8_t* pm = mask_.data();
+    for (std::size_t i = 0; i < n; ++i) pm[i] = positive(py[i]);
   }
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   RERAMDL_CHECK_EQ(grad_out.numel(), mask_.size());
-  Tensor gx = grad_out;
-  for (std::size_t i = 0; i < gx.numel(); ++i)
-    if (!mask_[i]) gx[i] = 0.0f;
+  Tensor gx(grad_out.shape());
+  const float* pg = grad_out.data();
+  float* pgx = gx.data();
+  const std::uint8_t* pm = mask_.data();
+  for (std::size_t i = 0; i < mask_.size(); ++i) {
+    const float g = pg[i];
+    pgx[i] = pm[i] ? g : 0.0f;
+  }
   return gx;
 }
 

@@ -4,6 +4,9 @@
 // exact float functions the LUT approximates.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.hpp"
 
 namespace reramdl::nn {
@@ -16,7 +19,8 @@ class ReLU : public Layer {
   LayerSpec spec(std::size_t in_c, std::size_t in_h, std::size_t in_w) const override;
 
  private:
-  std::vector<bool> mask_;
+  // mask_[i] is output[i] > 0 from the last training forward.
+  std::vector<std::uint8_t> mask_;
 };
 
 class LeakyReLU : public Layer {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "obs/obs.hpp"
@@ -62,6 +63,18 @@ void PipelineSim::emit_obs_spans(const std::string& label) const {
 
 // ---- PipeLayer --------------------------------------------------------------
 
+namespace {
+
+// "F3", "D0": built by appending, because GCC 12 flags the
+// `"F" + std::to_string(i)` form with a false -Wrestrict warning.
+std::string stage_name(char prefix, std::uint64_t i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
+}  // namespace
+
 SimResult sim_pipelayer_training(std::uint64_t n, std::uint64_t l,
                                  std::uint64_t b, bool want_trace) {
   RERAMDL_CHECK_GT(l, 0u);
@@ -75,9 +88,9 @@ SimResult sim_pipelayer_training(std::uint64_t n, std::uint64_t l,
   std::vector<std::size_t> chain;
   // Forward stages F1..FL, then backward stages D0 (loss/output error) .. DL.
   for (std::uint64_t i = 1; i <= l; ++i)
-    chain.push_back(sim.add_stage("F" + std::to_string(i)));
+    chain.push_back(sim.add_stage(stage_name('F', i)));
   for (std::uint64_t i = 0; i <= l; ++i)
-    chain.push_back(sim.add_stage("D" + std::to_string(i)));
+    chain.push_back(sim.add_stage(stage_name('D', i)));
   const std::size_t update = sim.add_stage("U");
 
   std::uint64_t batch_start = 0;
@@ -107,7 +120,7 @@ SimResult sim_pipelayer_inference(std::uint64_t n, std::uint64_t l,
   sim.enable_trace(want_trace || obs_trace);
   std::vector<std::size_t> chain;
   for (std::uint64_t i = 1; i <= l; ++i)
-    chain.push_back(sim.add_stage("F" + std::to_string(i)));
+    chain.push_back(sim.add_stage(stage_name('F', i)));
   std::uint64_t total = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::string item(1, static_cast<char>('0' + (i % 10)));

@@ -1,8 +1,10 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -109,35 +111,129 @@ void mm_tb_packed_row_block(const float* pa, const float* pbt, float* pc,
   }
 }
 
-RERAMDL_TARGET_CLONES
-void mm_ta_col_block(const float* pa, const float* pb, float* pc,
-                     std::size_t p0, std::size_t p1, std::size_t m,
-                     std::size_t k, std::size_t n, bool accumulate,
-                     double* acc) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-    const std::size_t j1 = std::min(j0 + kBlockN, n);
-    const std::size_t bn = j1 - j0;
-    std::fill(acc, acc + (p1 - p0) * bn, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      const float* brow = pb + i * n + j0;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        double* crow = acc + (p - p0) * bn;
-        for (std::size_t j = 0; j < bn; ++j) crow[j] += av * brow[j];
+// C = A^T B (the dW GEMM) runs as output panels of at most kTaPanelK x
+// kTaPanelN, one work item each. A panel walks the m reduction rows in
+// passes of kTaPassRows (the pass's A and B strips stay in L1 across the
+// panel's register tiles) and holds a kTaTileK x kTaTileN tile of sums in
+// registers through each pass. Every output element still sums its whole
+// reduction in one i-ascending double accumulation.
+constexpr std::size_t kTaTileK = 4;
+constexpr std::size_t kTaTileN = 8;
+constexpr std::size_t kTaPanelK = 32;
+constexpr std::size_t kTaPanelN = 64;
+constexpr std::size_t kTaPassRows = 128;
+// Panels narrow (down to one register tile of rows) until there are at
+// least this many, so conv1's 25 x 8 dW spreads over the pool. It is a
+// shape rule only: the panels of a given (k, n) are the same for every pool
+// width.
+constexpr std::size_t kTaMinPanels = 8;
+
+// One register tile's pass over rows [i0, i1): acc holds the tile's tk x tn
+// running sums at row stride ldacc. kSkipZeroA drops the products of zero A
+// elements, as the scalar loop this replaces did; without it they are
+// added, which is a bitwise no-op unless the B element is Inf or NaN.
+//
+// Full kTaTileK x kTaTileN tiles are written with GCC vector types, so the
+// sums stay in registers and the loop vectorizer leaves the i loop alone
+// (GCC 12 vectorized the scalar form across i with loads past the last row
+// of A). Edge tiles loop to tk and tn; their inner j loop is the one that
+// vectorizes.
+using V4d = double __attribute__((vector_size(32)));
+using V4f = float __attribute__((vector_size(16)));
+static_assert(kTaTileN == 8, "the full tile holds each row in two V4d");
+
+template <bool kSkipZeroA>
+inline __attribute__((always_inline)) void mm_ta_full_tile(
+    const float* pa, const float* pb, std::size_t i0, std::size_t i1,
+    std::size_t k, std::size_t n, double* acc, std::size_t ldacc) {
+  V4d t[kTaTileK][2];
+  for (std::size_t p = 0; p < kTaTileK; ++p) {
+    std::memcpy(&t[p][0], acc + p * ldacc, sizeof(V4d));
+    std::memcpy(&t[p][1], acc + p * ldacc + 4, sizeof(V4d));
+  }
+  for (std::size_t i = i0; i < i1; ++i) {
+    const float* arow = pa + i * k;
+    V4f lo, hi;
+    std::memcpy(&lo, pb + i * n, sizeof(V4f));
+    std::memcpy(&hi, pb + i * n + 4, sizeof(V4f));
+    const V4d b0 = __builtin_convertvector(lo, V4d);
+    const V4d b1 = __builtin_convertvector(hi, V4d);
+    for (std::size_t p = 0; p < kTaTileK; ++p) {
+      const double av = arow[p];
+      if (kSkipZeroA && av == 0.0) continue;
+      t[p][0] += av * b0;
+      t[p][1] += av * b1;
+    }
+  }
+  for (std::size_t p = 0; p < kTaTileK; ++p) {
+    std::memcpy(acc + p * ldacc, &t[p][0], sizeof(V4d));
+    std::memcpy(acc + p * ldacc + 4, &t[p][1], sizeof(V4d));
+  }
+}
+
+template <bool kSkipZeroA>
+inline __attribute__((always_inline)) void mm_ta_edge_tile(
+    const float* pa, const float* pb, std::size_t i0, std::size_t i1,
+    std::size_t k, std::size_t n, std::size_t tk, std::size_t tn, double* acc,
+    std::size_t ldacc) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const float* arow = pa + i * k;
+    const float* brow = pb + i * n;
+    for (std::size_t p = 0; p < tk; ++p) {
+      const double av = arow[p];
+      if (kSkipZeroA && av == 0.0) continue;
+      double* trow = acc + p * ldacc;
+      for (std::size_t j = 0; j < tn; ++j) trow[j] += av * brow[j];
+    }
+  }
+}
+
+template <bool kSkipZeroA>
+inline __attribute__((always_inline)) void mm_ta_panel_sums(
+    const float* pa, const float* pb, std::size_t m, std::size_t k,
+    std::size_t n, std::size_t p0, std::size_t p1, std::size_t j0,
+    std::size_t j1, double* acc) {
+  const std::size_t bn = j1 - j0;
+  std::fill(acc, acc + (p1 - p0) * bn, 0.0);
+  for (std::size_t i0 = 0; i0 < m; i0 += kTaPassRows) {
+    const std::size_t i1 = std::min(i0 + kTaPassRows, m);
+    for (std::size_t p = p0; p < p1; p += kTaTileK) {
+      const std::size_t tk = std::min(kTaTileK, p1 - p);
+      for (std::size_t j = j0; j < j1; j += kTaTileN) {
+        const std::size_t tn = std::min(kTaTileN, j1 - j);
+        double* tacc = acc + (p - p0) * bn + (j - j0);
+        if (tk == kTaTileK && tn == kTaTileN)
+          mm_ta_full_tile<kSkipZeroA>(pa + p, pb + j, i0, i1, k, n, tacc, bn);
+        else
+          mm_ta_edge_tile<kSkipZeroA>(pa + p, pb + j, i0, i1, k, n, tk, tn,
+                                      tacc, bn);
       }
     }
-    for (std::size_t p = p0; p < p1; ++p) {
-      const double* arow = acc + (p - p0) * bn;
-      float* crow = pc + p * n + j0;
-      if (accumulate)
-        for (std::size_t j = 0; j < bn; ++j)
-          crow[j] += static_cast<float>(arow[j]);
-      else
-        for (std::size_t j = 0; j < bn; ++j)
-          crow[j] = static_cast<float>(arow[j]);
-    }
+  }
+}
+
+RERAMDL_TARGET_CLONES
+void mm_ta_panel(const float* pa, const float* pb, float* pc, std::size_t m,
+                 std::size_t k, std::size_t n, std::size_t p0, std::size_t p1,
+                 std::size_t j0, std::size_t j1, bool accumulate,
+                 double* acc) {
+  const std::size_t bn = j1 - j0;
+  mm_ta_panel_sums<false>(pa, pb, m, k, n, p0, p1, j0, j1, acc);
+  // An added 0 * Inf or 0 * NaN product turns its sum into NaN for good, so
+  // a panel with no NaN sum equals the zero-skipping loop bit for bit; only
+  // a panel with one is redone with the skip.
+  if (std::any_of(acc, acc + (p1 - p0) * bn,
+                  [](double v) { return std::isnan(v); }))
+    mm_ta_panel_sums<true>(pa, pb, m, k, n, p0, p1, j0, j1, acc);
+  for (std::size_t p = p0; p < p1; ++p) {
+    const double* arow = acc + (p - p0) * bn;
+    float* crow = pc + p * n + j0;
+    if (accumulate)
+      for (std::size_t j = 0; j < bn; ++j)
+        crow[j] += static_cast<float>(arow[j]);
+    else
+      for (std::size_t j = 0; j < bn; ++j)
+        crow[j] = static_cast<float>(arow[j]);
   }
 }
 
@@ -230,12 +326,28 @@ void mm_ta_impl(const Tensor& a, const Tensor& b, float* pc, bool accumulate) {
   const std::size_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
   const float* pa = a.data();
   const float* pb = b.data();
-  // C rows are indexed by A's k dimension, so parallelizing over k-row
-  // blocks keeps output writes disjoint; the i (reduction) loop stays
-  // ascending inside each block for a fixed double-accumulation order.
-  parallel::parallel_for(0, k, kBlockM, [&](std::size_t p0, std::size_t p1) {
-    scratch::Buffer<double> acc(kBlockM * kBlockN);
-    mm_ta_col_block(pa, pb, pc, p0, p1, m, k, n, accumulate, acc.data());
+  // Work items are (k-panel x n-panel) output panels, sized from the shapes
+  // alone: panels narrow (down to one register tile of rows) until there
+  // are kTaMinPanels of them, so a small-k dW still fills the pool. Each
+  // output element belongs to one panel and sums its full i-ascending
+  // reduction there — the reduction is never split — so the result is
+  // bit-identical for any pool width.
+  if (k == 0 || n == 0) return;  // an empty C
+  const std::size_t n_panels = (n + kTaPanelN - 1) / kTaPanelN;
+  const std::size_t want_k = (kTaMinPanels + n_panels - 1) / n_panels;
+  std::size_t panel_k = (k + want_k - 1) / want_k;
+  panel_k = (panel_k + kTaTileK - 1) / kTaTileK * kTaTileK;
+  panel_k = std::clamp(panel_k, kTaTileK, kTaPanelK);
+  const std::size_t k_panels = (k + panel_k - 1) / panel_k;
+  parallel::parallel_for(0, k_panels * n_panels, 1, [&](std::size_t w0,
+                                                        std::size_t w1) {
+    scratch::Buffer<double> acc(kTaPanelK * kTaPanelN);
+    for (std::size_t w = w0; w < w1; ++w) {
+      const std::size_t p0 = (w / n_panels) * panel_k;
+      const std::size_t j0 = (w % n_panels) * kTaPanelN;
+      mm_ta_panel(pa, pb, pc, m, k, n, p0, std::min(p0 + panel_k, k), j0,
+                  std::min(j0 + kTaPanelN, n), accumulate, acc.data());
+    }
   });
 }
 
@@ -313,20 +425,22 @@ double input_range(const Tensor& x) {
   const std::size_t m = x.shape()[0], k = x.shape()[1];
   // Per-row float maxima from independent row-block chunks, folded serially
   // in double below.
+  // |x| compared as its bit pattern: for non-negative floats the integer
+  // order is the float order, and Inf and every NaN sort above all finite
+  // values, so one integer max both finds the range and flags them. Unlike
+  // a float compare (which may trap, so GCC keeps its branch), it
+  // vectorizes.
+  constexpr std::uint32_t kInfBits = 0x7f800000u;
   scratch::Buffer<float> row_max(m);
   const float* px = x.data();
   parallel::parallel_for(0, m, 64, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       const float* row = px + i * k;
-      bool finite = true;
-      float r = 0.0f;
-      for (std::size_t j = 0; j < k; ++j) {
-        const float a = std::fabs(row[j]);
-        // False for Inf and NaN; std::max below would drop a NaN.
-        finite &= a <= std::numeric_limits<float>::max();
-        r = std::max(r, a);
-      }
-      row_max[i] = finite ? r : std::numeric_limits<float>::infinity();
+      std::uint32_t r = 0;
+      for (std::size_t j = 0; j < k; ++j)
+        r = std::max(r, std::bit_cast<std::uint32_t>(row[j]) & 0x7fffffffu);
+      row_max[i] = r < kInfBits ? std::bit_cast<float>(r)
+                                : std::numeric_limits<float>::infinity();
     }
   });
   double range = 0.0;
