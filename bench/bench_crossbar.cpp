@@ -1,5 +1,5 @@
-// Microbenchmarks of the functional simulation substrate: crossbar MVM
-// (fast integer path and exact bit-serial emulation), multi-array grids,
+// Microbenchmarks of the functional simulation substrate: one-row crossbar
+// MVM (fast integer path and exact bit-serial emulation), multi-array grids,
 // im2col, and conv forward — the host-side costs of running the simulator.
 #include <benchmark/benchmark.h>
 
@@ -27,9 +27,8 @@ void BM_CrossbarFast(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   auto xbar = make_crossbar(size, false);
   Rng rng(7);
-  std::vector<float> x(size);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto _ : state) benchmark::DoNotOptimize(xbar.compute(x, 1.0));
+  const Tensor x = Tensor::uniform(Shape{1, size}, rng, -1.0f, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(xbar.compute_batch(x, 1.0));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(size * size));
 }
@@ -39,9 +38,8 @@ void BM_CrossbarBitSerial(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   auto xbar = make_crossbar(size, true);
   Rng rng(8);
-  std::vector<float> x(size);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto _ : state) benchmark::DoNotOptimize(xbar.compute(x, 1.0));
+  const Tensor x = Tensor::uniform(Shape{1, size}, rng, -1.0f, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(xbar.compute_batch(x, 1.0));
 }
 BENCHMARK(BM_CrossbarBitSerial)->Arg(32)->Arg(64)->Arg(128);
 
@@ -52,9 +50,8 @@ void BM_GridCompute(benchmark::State& state) {
   circuit::CrossbarGrid grid(cfg);
   Rng rng(9);
   grid.program(Tensor::uniform(Shape{rows, 256}, rng, -1.0f, 1.0f), 1.0);
-  std::vector<float> x(rows);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto _ : state) benchmark::DoNotOptimize(grid.compute(x, 1.0));
+  const Tensor x = Tensor::uniform(Shape{1, rows}, rng, -1.0f, 1.0f);
+  for (auto _ : state) benchmark::DoNotOptimize(grid.compute_batch(x, 1.0));
 }
 BENCHMARK(BM_GridCompute)->Arg(256)->Arg(1152)->Arg(4096);
 

@@ -1,10 +1,11 @@
 // Batched crossbar MVM bench: sweeps batch size x thread count over
 // Table-1-scale PipeLayer layer shapes (128x128 arrays), comparing the
 // batched fast path (CrossbarGrid::compute_batch — collapsed W_eff, one
-// (tile x row-block) pool region per batch) against the looped per-vector
-// baseline (one compute() call per row). Verifies batched and looped
-// outputs are bit-identical with identical aggregate CrossbarStats, then
-// emits BENCH_crossbar_batch.json via the shared JsonWriter.
+// (tile x row-block) pool region per batch) against the looped
+// single-vector baseline (one one-row compute_batch call per row). Verifies
+// batched and looped outputs are bit-identical with identical aggregate
+// CrossbarStats, then emits BENCH_crossbar_batch.json via the shared
+// JsonWriter.
 //
 // Acceptance target (ISSUE 3): batched >= 3x looped throughput at
 // batch >= 32 with 8 threads.
@@ -50,7 +51,7 @@ struct LayerShape {
 
 // Representative PipeLayer (Table 1, AlexNet-class) layer GEMM shapes: two
 // interior conv layers' im2col K x N and an FC7-scale slice whose 32 MB
-// W_eff working set far exceeds L2 — the looped per-vector path re-streams
+// W_eff working set far exceeds L2 — the looped one-row calls re-stream
 // it for every row while the batched kernel reuses it across the block.
 std::vector<LayerShape> full_shapes() {
   return {{"conv3_1152x512", 1152, 512},
@@ -92,15 +93,15 @@ Meas run_batched(circuit::CrossbarGrid& grid, const Tensor& rows,
 Meas run_looped(circuit::CrossbarGrid& grid, const Tensor& rows,
                 std::size_t reps) {
   const std::size_t m = rows.shape()[0], k = rows.shape()[1];
-  std::vector<float> x(k);
+  Tensor x(Shape{1, k});
   Meas best;
   for (std::size_t r = 0; r < reps; ++r) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < m; ++i) {
       std::memcpy(x.data(), rows.data() + i * k, k * sizeof(float));
-      const std::vector<float> y = grid.compute(x, 1.0);
-      h = fnv1a(y.data(), y.size() * sizeof(float), h);
+      const Tensor y = grid.compute_batch(x, 1.0);
+      h = fnv1a(y.data(), y.numel() * sizeof(float), h);
     }
     const auto t1 = Clock::now();
     best.ms = std::min(
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   const std::size_t reps = quick ? 1 : 3;
 
   // Correctness pass: batched outputs and aggregate stats must match the
-  // looped per-vector baseline exactly (batch 33 straddles a kernel block).
+  // looped one-row baseline exactly (batch 33 straddles a kernel block).
   bool bit_identical = true;
   bool stats_identical = true;
   for (const auto& sh : shapes) {
@@ -160,13 +161,13 @@ int main(int argc, char** argv) {
     looped.program(w, 1.0);
     const Tensor out_b = batched.compute_batch(rows, 1.0);
     Tensor out_l(Shape{33, sh.cols});
-    std::vector<float> x(sh.rows);
+    Tensor x(Shape{1, sh.rows});
     for (std::size_t i = 0; i < 33; ++i) {
       std::memcpy(x.data(), rows.data() + i * sh.rows,
                   sh.rows * sizeof(float));
-      const std::vector<float> y = looped.compute(x, 1.0);
+      const Tensor y = looped.compute_batch(x, 1.0);
       std::memcpy(out_l.data() + i * sh.cols, y.data(),
-                  y.size() * sizeof(float));
+                  y.numel() * sizeof(float));
     }
     if (tensor_digest(out_b) != tensor_digest(out_l)) bit_identical = false;
     const auto sb = batched.aggregate_stats();

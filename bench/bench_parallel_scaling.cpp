@@ -107,10 +107,11 @@ std::vector<Kernel> build_kernels(const Sizes& sz) {
     Rng wrng(7);
     auto w = std::make_shared<Tensor>(Tensor::uniform(
         Shape{sz.grid_rows, sz.grid_cols}, wrng, -0.5f, 0.5f));
-    auto xs = std::make_shared<std::vector<std::vector<float>>>();
+    auto xs = std::make_shared<std::vector<Tensor>>();
     for (std::size_t v = 0; v < sz.grid_mvms; ++v) {
-      std::vector<float> x(sz.grid_rows);
-      for (auto& e : x) e = static_cast<float>(wrng.uniform(-1.0, 1.0));
+      Tensor x(Shape{1, sz.grid_rows});
+      for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = static_cast<float>(wrng.uniform(-1.0, 1.0));
       xs->push_back(std::move(x));
     }
     kernels.push_back({"crossbar_grid_mvm", [w, xs] {
@@ -119,8 +120,8 @@ std::vector<Kernel> build_kernels(const Sizes& sz) {
                          grid.program(*w, 1.0);
                          std::uint64_t h = 0xcbf29ce484222325ULL;
                          for (const auto& x : *xs) {
-                           const std::vector<float> y = grid.compute(x, 1.0);
-                           h = fnv1a(y.data(), y.size() * sizeof(float), h);
+                           const Tensor y = grid.compute_batch(x, 1.0);
+                           h = fnv1a(y.data(), y.numel() * sizeof(float), h);
                          }
                          return h;
                        }});

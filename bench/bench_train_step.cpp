@@ -1,21 +1,17 @@
-// Training-step fast-path bench: sweeps thread counts over three training
-// workloads (MLP and LeNet classification epochs, DCGAN-generator
-// forward/backward steps), comparing the plan-cached path (per-layer im2col
-// gather / col2im scatter index plans, packed transposed-weight products,
-// workspace arena) against the uncached reference path. Verifies the two
-// paths produce bit-identical weights and loss trajectories at every thread
-// count, and that the workspace arena performs zero allocations after the
-// warm-up epoch, then emits BENCH_train_step.json via the shared JsonWriter.
-//
-// Acceptance target (ISSUE 4): cached >= 1.5x geomean training-step speedup
-// over uncached at 8 threads; exits non-zero on any bit-identity violation
-// or steady-state arena growth.
+// Training-step bench: sweeps thread counts over three training workloads
+// (MLP and LeNet classification epochs, DCGAN-generator forward/backward
+// steps) on the layers' plan-cached path (per-layer im2col gather / col2im
+// scatter index plans, packed transposed-weight products, workspace arena).
+// Verifies that every thread count produces bit-identical weights and loss
+// trajectories, and that the workspace arena performs zero allocations
+// after the warm-up epoch, then emits BENCH_train_step.json via the shared
+// JsonWriter. Exits non-zero on any bit-identity violation or steady-state
+// arena growth.
 //
 // Flags:
 //   --quick       smaller datasets / fewer reps (CI smoke)
 //   --out=PATH    JSON output path (default BENCH_train_step.json)
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -32,7 +28,6 @@
 #include "nn/trainer.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/summary.hpp"
-#include "tensor/conv_plan.hpp"
 #include "workload/datasets.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -51,7 +46,7 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
 }
 
 // One training workload instance: runs whole epochs and digests the final
-// model state so cached/uncached runs can be compared bitwise.
+// model state so runs at different thread counts can be compared bitwise.
 class Runner {
  public:
   virtual ~Runner() = default;
@@ -166,8 +161,7 @@ struct Meas {
 
 // Fresh model, one warm-up epoch (plan build + arena sizing), then `reps`
 // timed epochs. All runs execute 1 + reps epochs so digests are comparable.
-Meas run_workload(const WorkloadDef& wl, bool cached, std::size_t reps) {
-  plan::set_enabled(cached);
+Meas run_workload(const WorkloadDef& wl, std::size_t reps) {
   auto runner = make_runner(wl);
   runner->run_epoch();  // warm-up
   const auto growth0 = scratch::arena_growth_events();
@@ -219,68 +213,42 @@ int main(int argc, char** argv) {
                                        {"lenet_b32", 104, 32},
                                        {"dcgan_g_b16", 48, 16, true}};
 
-  // results[workload][mode][thread]; mode 0 = uncached, 1 = cached.
-  std::vector<std::vector<std::vector<Meas>>> results(
-      workloads.size(),
-      std::vector<std::vector<Meas>>(2,
-                                     std::vector<Meas>(thread_counts.size())));
+  // results[workload][thread].
+  std::vector<std::vector<Meas>> results(
+      workloads.size(), std::vector<Meas>(thread_counts.size()));
   for (std::size_t w = 0; w < workloads.size(); ++w)
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
       parallel::set_thread_count(thread_counts[t]);
-      results[w][0][t] = run_workload(workloads[w], /*cached=*/false, reps);
-      results[w][1][t] = run_workload(workloads[w], /*cached=*/true, reps);
+      results[w][t] = run_workload(workloads[w], reps);
     }
   parallel::set_thread_count(0);  // restore environment default
-  plan::set_enabled(true);
 
-  // Bit-identity: every (mode, thread) run of a workload performed the same
+  // Bit-identity: every thread count's run of a workload performed the same
   // number of identical-shape epochs, so all digests must agree.
   bool bit_identical = true;
   std::uint64_t steady_growth = 0;
   for (std::size_t w = 0; w < workloads.size(); ++w)
-    for (std::size_t mode = 0; mode < 2; ++mode)
-      for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-        if (results[w][mode][t].digest != results[w][0][0].digest)
-          bit_identical = false;
-        if (mode == 1) steady_growth += results[w][mode][t].steady_growth;
-      }
-
-  const std::size_t t8 = thread_counts.size() - 1;
-  std::vector<double> speedups;
-  TablePrinter table({"kernel", "1t ms/step", "2t ms/step", "4t ms/step",
-                      "8t ms/step", "vs uncached@8t"});
-  for (std::size_t w = 0; w < workloads.size(); ++w)
-    for (std::size_t mode = 0; mode < 2; ++mode) {
-      const auto& r = results[w][mode];
-      std::string vs = "-";
-      if (mode == 1) {
-        const double s = results[w][0][t8].best_ms() / r[t8].best_ms();
-        vs = TablePrinter::fmt_times(s);
-        speedups.push_back(s);
-      }
-      table.add_row({workloads[w].name + (mode ? "_cached" : "_uncached"),
-                     TablePrinter::fmt(r[0].best_ms(), 2),
-                     TablePrinter::fmt(r[1].best_ms(), 2),
-                     TablePrinter::fmt(r[2].best_ms(), 2),
-                     TablePrinter::fmt(r[3].best_ms(), 2), vs});
+    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+      if (results[w][t].digest != results[w][0].digest) bit_identical = false;
+      steady_growth += results[w][t].steady_growth;
     }
-  double log_sum = 0.0;
-  for (const double s : speedups) log_sum += std::log(s);
-  const double geomean =
-      speedups.empty()
-          ? 0.0
-          : std::exp(log_sum / static_cast<double>(speedups.size()));
+
+  TablePrinter table(
+      {"kernel", "1t ms/step", "2t ms/step", "4t ms/step", "8t ms/step"});
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const auto& r = results[w];
+    table.add_row({workloads[w].name, TablePrinter::fmt(r[0].best_ms(), 2),
+                   TablePrinter::fmt(r[1].best_ms(), 2),
+                   TablePrinter::fmt(r[2].best_ms(), 2),
+                   TablePrinter::fmt(r[3].best_ms(), 2)});
+  }
 
   const unsigned hc = std::thread::hardware_concurrency();
   std::cout << "Training-step plan-cache sweep"
             << (quick ? " (quick)" : "") << ", host concurrency " << hc
             << "\n";
   table.print(std::cout);
-  std::cout << "geomean cached-vs-uncached step speedup @ 8 threads: "
-            << TablePrinter::fmt_times(geomean)
-            << (geomean >= 1.5 ? "  (>= 1.5x target met)"
-                               : "  (below 1.5x target)")
-            << "\n  bit-identical: " << (bit_identical ? "yes" : "NO")
+  std::cout << "  bit-identical: " << (bit_identical ? "yes" : "NO")
             << "  steady-state arena growths: " << steady_growth
             << (steady_growth == 0 ? "" : "  (expected 0)") << "\n";
 
@@ -303,39 +271,28 @@ int main(int argc, char** argv) {
   w.kv("arena_steady_growth_events", steady_growth);
   w.key("kernels");
   w.begin_array();
-  for (std::size_t i = 0; i < workloads.size(); ++i)
-    for (std::size_t mode = 0; mode < 2; ++mode) {
-      const auto& r = results[i][mode];
-      w.begin_object();
-      w.kv("name", workloads[i].name + (mode ? "_cached" : "_uncached"));
-      w.kv("mode", mode ? "cached" : "uncached");
-      w.kv("batch", workloads[i].batch);
-      w.key("time_ms");
-      w.begin_array();
-      for (const auto& m : r) w.value(m.best_ms());
-      w.end_array();
-      // Full per-rep distribution per thread count (shared obs helper:
-      // count/min/max/mean/p50/p90/p99 over the retained samples).
-      w.key("step_ms_summary");
-      w.begin_array();
-      for (const auto& m : r) m.step_ms.write_json(w);
-      w.end_array();
-      w.key("speedup_vs_1t");
-      w.begin_array();
-      for (const auto& m : r) w.value(r[0].best_ms() / m.best_ms());
-      w.end_array();
-      if (mode == 1) {
-        w.key("speedup_vs_uncached");
-        w.begin_array();
-        for (std::size_t t = 0; t < thread_counts.size(); ++t)
-          w.value(results[i][0][t].best_ms() / r[t].best_ms());
-        w.end_array();
-      }
-      w.end_object();
-    }
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const auto& r = results[i];
+    w.begin_object();
+    w.kv("name", workloads[i].name);
+    w.kv("batch", workloads[i].batch);
+    w.key("time_ms");
+    w.begin_array();
+    for (const auto& m : r) w.value(m.best_ms());
+    w.end_array();
+    // Full per-rep distribution per thread count (shared obs helper:
+    // count/min/max/mean/p50/p90/p99 over the retained samples).
+    w.key("step_ms_summary");
+    w.begin_array();
+    for (const auto& m : r) m.step_ms.write_json(w);
+    w.end_array();
+    w.key("speedup_vs_1t");
+    w.begin_array();
+    for (const auto& m : r) w.value(r[0].best_ms() / m.best_ms());
+    w.end_array();
+    w.end_object();
+  }
   w.end_array();
-  w.kv("geomean_cached_vs_uncached_8t", geomean);
-  w.kv("meets_1_5x_target", geomean >= 1.5);
   w.end_object();
   w.finish();
   std::cout << "wrote " << out_path << "\n";

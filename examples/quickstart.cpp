@@ -21,9 +21,10 @@ int main() {
   Rng rng(1);
   const Tensor w = Tensor::uniform(Shape{128, 128}, rng, -1.0f, 1.0f);
   xbar.program(w, /*w_max=*/1.0);
-  std::vector<float> x(128);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const std::vector<float> y = xbar.compute(x, /*x_max=*/1.0);
+  Tensor x(Shape{1, 128});  // one input vector: a one-row batch
+  for (std::size_t i = 0; i < 128; ++i)
+    x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const Tensor y = xbar.compute_batch(x, /*x_max=*/1.0);
   double ref0 = 0.0;
   for (std::size_t i = 0; i < 128; ++i) ref0 += x[i] * w.at(i, 0);
   std::printf("single crossbar:   y[0] = %+.4f (float reference %+.4f)\n",

@@ -28,7 +28,7 @@ constexpr std::size_t kBatchBlock = 32;
 // once per row quad with no accumulator load/store traffic inside the
 // loop (the row-fused form was store-bound at ~half the FMA peak). Per
 // output element the accumulation still visits i in ascending order —
-// identical to a single-vector compute(). Unlike the single-row tail,
+// identical to a one-row compute_batch(). Unlike the single-row tail,
 // the tile does not skip xi == 0 contributions; that is bitwise a no-op:
 // an accumulator can never be -0.0 (it starts at +0.0, exact cancellation
 // rounds to +0.0, and +0.0 + (-0.0) = +0.0), and adding xi * w == +/-0.0
@@ -423,8 +423,8 @@ std::size_t Crossbar::physical_col(std::size_t j) const {
 
 void Crossbar::rebuild_w_eff() {
   // Each element folds its slices in ascending order — the same add
-  // sequence compute_reference evaluates inline, so the collapsed path is
-  // bit-identical to the slice walk even for drifted / varied levels.
+  // sequence a per-MVM slice walk evaluates inline, so the collapsed path is
+  // bit-identical to it even for drifted / varied levels.
   const std::size_t num_slices = levels_.size();
   const std::size_t bpc = config_.cell.bits_per_cell;
   w_eff_.assign(r_ * c_, 0.0);
@@ -465,73 +465,22 @@ CrossbarHealth Crossbar::health() const {
   return h;
 }
 
-std::vector<float> Crossbar::compute(const std::vector<float>& x, double x_max) {
-  RERAMDL_CHECK_EQ(x.size(), r_);
-  std::vector<float> y(c_);
-  compute(x.data(), x.size(), x_max, y.data());
-  return y;
-}
-
-void Crossbar::compute(const float* x, std::size_t n, double x_max, float* y) {
-  RERAMDL_CHECK_EQ(n, r_);
-  RERAMDL_CHECK_GT(w_max_, 0.0);
-  RERAMDL_CHECK_GT(x_max, 0.0);
-
-  if (!config_.bit_serial) {
-    CrossbarStats delta;
-    compute_batch_block(x, 1, n, x_max, y, c_, delta);
-    stats_ += delta;
-    return;
-  }
-
-  const device::LinearQuantizer xq(config_.input_bits, x_max);
-  scratch::Buffer<double> x_levels(r_);
-  stats_.input_spikes += xq.quantize_levels(x, r_, x_levels.data());
-  scratch::Buffer<std::int64_t> x_int(r_);
-  for (std::size_t i = 0; i < r_; ++i)
-    x_int[i] = static_cast<std::int64_t>(x_levels[i]);
-
-  scratch::Buffer<double> acc(c_);
-  std::fill(acc.begin(), acc.end(), 0.0);
-  compute_bit_serial(x_int.data(), acc.data());
-
-  // Scale integer result back to value domain:
-  // y = sum_i w_int[i] * x_int[i] * w_step * x_step.
-  const device::LinearQuantizer wq(config_.weight_bits, w_max_);
-  const double scale = wq.step() * xq.step();
-  for (std::size_t j = 0; j < c_; ++j)
-    y[j] = static_cast<float>(acc[j] * scale);
-  ++stats_.compute_ops;
-}
-
 Tensor Crossbar::compute_batch(const Tensor& rows, double x_max) {
   RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(rows.shape()[1], r_);
   const std::size_t m = rows.shape()[0];
   Tensor out(Shape{m, c_});
-  if (config_.bit_serial) {
-    for (std::size_t b = 0; b < m; ++b)
-      compute(rows.data() + b * r_, r_, x_max, out.data() + b * c_);
-    return out;
-  }
-
   CrossbarStats delta;
+  scratch::Buffer<double> xt(r_ * std::min(kBatchBlock, m));
   for (std::size_t b0 = 0; b0 < m; b0 += kBatchBlock) {
     const std::size_t bm = std::min(kBatchBlock, m - b0);
-    compute_batch_block(rows.data() + b0 * r_, bm, r_, x_max,
-                        out.data() + b0 * c_, c_, delta);
+    delta.input_spikes +=
+        quantize_batch(rows.data() + b0 * r_, bm, r_, x_max, xt.data());
+    compute_batch_prequant(xt.data(), bm, x_max, out.data() + b0 * c_, c_,
+                           delta);
   }
   stats_ += delta;
   return out;
-}
-
-void Crossbar::compute_batch_block(const float* rows, std::size_t m,
-                                   std::size_t row_stride, double x_max,
-                                   float* out, std::size_t out_stride,
-                                   CrossbarStats& delta) const {
-  scratch::Buffer<double> xt(r_ * m);
-  delta.input_spikes += quantize_batch(rows, m, row_stride, x_max, xt.data());
-  compute_batch_prequant(xt.data(), m, x_max, out, out_stride, delta);
 }
 
 std::uint64_t Crossbar::quantize_batch(const float* rows, std::size_t m,
@@ -559,54 +508,37 @@ void Crossbar::compute_batch_prequant(const double* xt, std::size_t m,
                                       double x_max, float* out,
                                       std::size_t out_stride,
                                       CrossbarStats& delta) const {
-  RERAMDL_CHECK(!config_.bit_serial);
   RERAMDL_CHECK_GT(w_max_, 0.0);
   RERAMDL_CHECK_GT(x_max, 0.0);
 
   const device::LinearQuantizer xq(config_.input_bits, x_max);
   const device::LinearQuantizer wq(config_.weight_bits, w_max_);
   const double scale = wq.step() * xq.step();
-  batch_kernel_dense(w_eff_.data(), r_, c_, xt, m, scale, out, out_stride);
+  if (!config_.bit_serial) {
+    batch_kernel_dense(w_eff_.data(), r_, c_, xt, m, scale, out, out_stride);
+    delta.compute_ops += m;
+    return;
+  }
+
+  // Spike-level emulation, one input row at a time. Scales the integer
+  // result back to the value domain:
+  // y = sum_i w_int[i] * x_int[i] * w_step * x_step.
+  scratch::Buffer<std::int64_t> x_int(r_);
+  scratch::Buffer<double> acc(c_);
+  for (std::size_t b = 0; b < m; ++b) {
+    for (std::size_t i = 0; i < r_; ++i)
+      x_int[i] = static_cast<std::int64_t>(xt[i * m + b]);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    compute_bit_serial(x_int.data(), acc.data(), delta.saturated_counters);
+    float* y = out + b * out_stride;
+    for (std::size_t j = 0; j < c_; ++j)
+      y[j] = static_cast<float>(acc[j] * scale);
+  }
   delta.compute_ops += m;
 }
 
-std::vector<float> Crossbar::compute_reference(const std::vector<float>& x,
-                                               double x_max) const {
-  RERAMDL_CHECK_EQ(x.size(), r_);
-  RERAMDL_CHECK_GT(w_max_, 0.0);
-  RERAMDL_CHECK_GT(x_max, 0.0);
-
-  const device::LinearQuantizer xq(config_.input_bits, x_max);
-  const device::LinearQuantizer wq(config_.weight_bits, w_max_);
-  const double scale = wq.step() * xq.step();
-  const std::size_t num_slices = levels_.size();
-  const std::size_t bpc = config_.cell.bits_per_cell;
-
-  std::vector<double> x_levels(r_);
-  xq.quantize_levels(x.data(), r_, x_levels.data());
-  std::vector<double> acc(c_, 0.0);
-  for (std::size_t i = 0; i < r_; ++i) {
-    const double xi = x_levels[i];
-    if (xi == 0.0) continue;
-    const std::size_t base = i * c_;
-    for (std::size_t j = 0; j < c_; ++j) {
-      double w = 0.0;  // inline slice-ascending collapse == W_eff[i,j]
-      for (std::size_t s = 0; s < num_slices; ++s) {
-        const double weight =
-            static_cast<double>(std::uint64_t{1} << (s * bpc));
-        w += weight * (levels_[s][0][base + j] - levels_[s][1][base + j]);
-      }
-      acc[j] += xi * w;
-    }
-  }
-
-  std::vector<float> y(c_);
-  for (std::size_t j = 0; j < c_; ++j)
-    y[j] = static_cast<float>(acc[j] * scale);
-  return y;
-}
-
-void Crossbar::compute_bit_serial(const std::int64_t* x_int, double* acc) {
+void Crossbar::compute_bit_serial(const std::int64_t* x_int, double* acc,
+                                  std::uint64_t& saturated) const {
   // Emulates the spike driver + I&F + counter + shift-add path cycle by
   // cycle: one wordline spike phase per (input bit, sign phase); per column
   // the integrated current is counted with saturation at 2^counter_bits - 1.
@@ -650,11 +582,11 @@ void Crossbar::compute_bit_serial(const std::int64_t* x_int, double* acc) {
           double cp = col_pos[j], cn = col_neg[j];
           if (cp > counter_max) {
             cp = counter_max;
-            ++stats_.saturated_counters;
+            ++saturated;
           }
           if (cn > counter_max) {
             cn = counter_max;
-            ++stats_.saturated_counters;
+            ++saturated;
           }
           acc[j] += sign * bit_weight * slice_weight * (cp - cn);
         }

@@ -13,20 +13,21 @@
 //   * inputs: input_bits magnitude driven bit-serially by the spike driver,
 //     sign handled in a separate drive phase.
 //
-// Two evaluation paths produce identical results when no I&F counter
-// saturates (asserted by property tests): a fast integer path, and an exact
-// bit-serial emulation that models every spike cycle and counter clamp.
+// One compute entry point, compute_batch, evaluates a block of input rows
+// in one of two modes that produce identical results when no I&F counter
+// saturates (asserted by property tests): a fast integer kernel, and an
+// exact bit-serial emulation (config().bit_serial) that models every spike
+// cycle and counter clamp.
 //
-// The fast path evaluates against a *collapsed* effective differential
+// The fast kernel evaluates against a *collapsed* effective differential
 // weight matrix precomputed at program() time,
 //   W_eff[i,j] = sum_s 2^(s*bpc) * (pos_s[i,j] - neg_s[i,j]),
 // each element accumulated in slice-ascending order — algebraically and
-// bit-for-bit what the per-MVM slice walk produces (compute_reference keeps
-// that walk as the validation oracle). W_eff is rebuilt whenever the stored
-// levels change (program / apply_drift). Batches of input rows evaluate
-// through compute_batch, which quantizes all rows once and runs a
-// cache-blocked kernel that keeps each row's accumulation order identical
-// to the single-vector path, so batched and looped execution are
+// bit-for-bit what a per-MVM walk over the stored slice levels produces
+// (the test oracle keeps that walk). W_eff is rebuilt whenever the stored
+// levels change (program / apply_drift). compute_batch quantizes each block
+// of rows once and runs a cache-blocked kernel whose per-row accumulation
+// order is independent of the block, so a batch and m one-row calls are
 // bit-identical.
 // Fault tolerance: programming runs through an optional write-verify loop
 // (read back each cell, re-program with a nudged target up to
@@ -34,9 +35,8 @@
 // logical columns containing unrepairable cells can be remapped onto spare
 // bitlines reserved by CrossbarConfig::spare_cols. Stored levels are kept in
 // *logical* column layout regardless of which physical bitline backs them,
-// so every compute path (collapsed, batched, bit-serial, reference) is
-// untouched by remapping — the fault-free path stays bit-identical to a
-// crossbar with no fault machinery configured.
+// so both compute modes are untouched by remapping — the fault-free path
+// stays bit-identical to a crossbar with no fault machinery configured.
 #pragma once
 
 #include <algorithm>
@@ -171,33 +171,19 @@ class Crossbar {
   // rebuilds W_eff. Returns the number of flips applied.
   std::size_t inject_at(std::uint64_t step);
 
-  // Matrix-vector product for inputs clipped to [-x_max, x_max]; returns c
-  // outputs in float. The crossbar must be programmed first.
-  std::vector<float> compute(const std::vector<float>& x, double x_max);
-
-  // Allocation-free variant: reads n == active_rows() inputs from x and
-  // writes active_cols() outputs to y.
-  void compute(const float* x, std::size_t n, double x_max, float* y);
-
-  // Batched MVM: rows is [m, active_rows()], returns [m, active_cols()].
-  // Bit-identical to m single-vector compute() calls, with identical
-  // aggregate stats (compute_ops advances by m).
+  // The one MVM: rows is [m, active_rows()] of inputs clipped to
+  // [-x_max, x_max]; returns [m, active_cols()]. Runs quantize_batch and
+  // compute_batch_prequant over fixed blocks of rows, so each row's result
+  // and the aggregate stats are independent of m (compute_ops advances by
+  // m). The crossbar must be programmed first; a one-row tensor is a
+  // single-vector MVM.
   Tensor compute_batch(const Tensor& rows, double x_max);
 
-  // Stats-free batched fast-path kernel for one block of rows, used by
-  // CrossbarGrid to fan (tile x row-block) work items out to the thread
-  // pool without racing on stats_: reads rows[b * row_stride + i], writes
-  // out[b * out_stride + j], and accumulates this block's stats into
-  // `delta` for the caller to merge_stats() serially. Requires
-  // !config().bit_serial (the cycle-accurate path stays per-vector).
-  void compute_batch_block(const float* rows, std::size_t m,
-                           std::size_t row_stride, double x_max, float* out,
-                           std::size_t out_stride, CrossbarStats& delta) const;
-
-  // The two halves of compute_batch_block, split so CrossbarGrid can
-  // quantize each row-strip of the input once and share the result across
-  // that strip's column tiles (every tile of a strip drives the same
-  // quantized spikes).
+  // The two halves of compute_batch, split so CrossbarGrid can quantize
+  // each row-strip of the input once and share the result across that
+  // strip's column tiles (every tile of a strip drives the same quantized
+  // spikes), and fan (row-strip x row-block) work items out to the thread
+  // pool without racing on stats_.
   //
   // quantize_batch fills xt with the block transposed to [active_rows()][m]
   // (xt[i * m + b]) and returns the total spike count, i.e. the popcount sum
@@ -205,20 +191,14 @@ class Crossbar {
   std::uint64_t quantize_batch(const float* rows, std::size_t m,
                                std::size_t row_stride, double x_max,
                                double* xt) const;
-  // Runs the collapsed cache-blocked kernel on a pre-quantized transposed
-  // block and scales into out; advances delta.compute_ops by m only — the
+  // Evaluates a pre-quantized transposed block and scales into out: the
+  // collapsed cache-blocked kernel, or with config().bit_serial the
+  // spike-level emulation row by row. Books compute_ops (m) and
+  // saturated_counters into delta for the caller to merge_stats() — the
   // caller credits input_spikes from quantize_batch's return value.
   void compute_batch_prequant(const double* xt, std::size_t m, double x_max,
                               float* out, std::size_t out_stride,
                               CrossbarStats& delta) const;
-
-  // Reference slice-walk evaluation of the fast path: recomputes the
-  // differential collapse per (i, j) from the stored slice levels instead
-  // of reading the precomputed W_eff. Bit-identical to compute() (without
-  // bit_serial) by construction; kept as the validation oracle for the
-  // collapsed matrix. Does not touch stats.
-  std::vector<float> compute_reference(const std::vector<float>& x,
-                                       double x_max) const;
 
   // Apply a multiplicative retention-drift factor to every stored level
   // (device::RetentionModel::drift_factor); models inference after the
@@ -241,7 +221,7 @@ class Crossbar {
     program_passes_ = 0;
   }
 
-  // Fold an externally accumulated stats delta (from compute_batch_block)
+  // Fold an externally accumulated stats delta (from compute_batch_prequant)
   // into this array's counters.
   void merge_stats(const CrossbarStats& delta) { stats_ += delta; }
 
@@ -249,9 +229,17 @@ class Crossbar {
   const CrossbarStats& stats() const { return stats_; }
   std::size_t active_rows() const { return r_; }
   std::size_t active_cols() const { return c_; }
+  // Weight clip range of the last program() call.
+  double w_max() const { return w_max_; }
   // Collapsed effective differential weights, row-major [r, c] integer
   // levels (scaled by drift/variation where applied).
   const std::vector<double>& effective_weights() const { return w_eff_; }
+  // Stored levels of one weight slice and polarity (0 = positive, 1 =
+  // negative), row-major [r, c] in logical column layout.
+  const std::vector<double>& levels(std::size_t slice,
+                                    std::size_t polarity) const {
+    return levels_[slice][polarity];
+  }
 
   // Fault-tolerance introspection.
   const device::FaultMap& fault_map() const { return fault_map_; }
@@ -284,7 +272,8 @@ class Crossbar {
                       const ProgramOptions& opts, bool& defective);
   void store_column(const ColumnProgram& cp, std::size_t j);
   void rebuild_w_eff();
-  void compute_bit_serial(const std::int64_t* x_int, double* acc);
+  void compute_bit_serial(const std::int64_t* x_int, double* acc,
+                          std::uint64_t& saturated) const;
 
   CrossbarConfig config_;
   std::size_t r_ = 0, c_ = 0;

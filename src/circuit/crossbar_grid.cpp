@@ -135,51 +135,6 @@ std::size_t CrossbarGrid::inject_at(std::uint64_t step) {
   return applied;
 }
 
-std::vector<float> CrossbarGrid::compute(const std::vector<float>& x,
-                                         double x_max) {
-  RERAMDL_CHECK_EQ(x.size(), total_rows_);
-  RERAMDL_CHECK(!arrays_.empty());
-  RERAMDL_TRACE_SCOPE("xbar.compute", "circuit");
-  obs::ScopedHistogramTimer obs_timer("xbar.mvm_ns");
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::Registry::instance();
-    static obs::Counter& mvms = reg.counter("xbar.mvms");
-    static obs::Counter& tiles = reg.counter("xbar.tile_mvms");
-    mvms.add();
-    tiles.add(arrays_.size());
-  }
-
-  // Every (row_tile, col_tile) partial-sum MVM is independent — each tile is
-  // its own Crossbar with its own stats — so they dispatch to the pool as a
-  // flat tile index, each reading its input segment in place (pointer +
-  // length, no per-tile copy) and writing into a config_.cols-strided slot
-  // of a reused scratch buffer. The vertical add below runs serially
-  // afterwards in a fixed row-tile-ascending order (the paper's
-  // horizontal-collect / vertical-add of Fig. 3), keeping the result
-  // bit-identical for any thread count.
-  scratch::Buffer<float> partials(arrays_.size() * config_.cols);
-  parallel::parallel_for(0, arrays_.size(), 1, [&](std::size_t t0, std::size_t t1) {
-    for (std::size_t t = t0; t < t1; ++t) {
-      const std::size_t rt = t / col_tiles_;
-      const std::size_t r0 = rt * config_.rows;
-      arrays_[t].compute(x.data() + r0, arrays_[t].active_rows(), x_max,
-                         partials.data() + t * config_.cols);
-    }
-  });
-
-  std::vector<float> y(total_cols_, 0.0f);
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      const std::size_t t = rt * col_tiles_ + ct;
-      const std::size_t c0 = ct * config_.data_cols();
-      const float* partial = partials.data() + t * config_.cols;
-      const std::size_t cw = arrays_[t].active_cols();
-      for (std::size_t j = 0; j < cw; ++j) y[c0 + j] += partial[j];
-    }
-  }
-  return y;
-}
-
 Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
   RERAMDL_CHECK_EQ(rows.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(rows.shape()[1], total_rows_);
@@ -188,7 +143,7 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
   Tensor out(Shape{m, total_cols_});
   if (m == 0) return out;
 
-  RERAMDL_TRACE_SCOPE("xbar.compute_batch", "circuit");
+  RERAMDL_TRACE_SCOPE("xbar.compute", "circuit");
   obs::ScopedHistogramTimer obs_timer("xbar.batch_mvm_ns");
   if (obs::metrics_enabled()) {
     auto& reg = obs::Registry::instance();
@@ -200,19 +155,6 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
     rows_c.add(m);
     tiles.add(arrays_.size() * m);
     sizes.record(static_cast<double>(m));
-  }
-
-  if (config_.bit_serial) {
-    // The cycle-accurate emulation stays per-vector (compute() already
-    // fans its tiles out to the pool).
-    for (std::size_t b = 0; b < m; ++b) {
-      const float* xrow = rows.data() + b * total_rows_;
-      const std::vector<float> y =
-          compute(std::vector<float>(xrow, xrow + total_rows_), x_max);
-      std::copy(y.begin(), y.end(), out.data() + b * total_cols_);
-    }
-    obs::snapshot_wall_tick();
-    return out;
   }
 
   // Per-layer / per-tile attribution (obs::Attribution) is live only when a
@@ -279,8 +221,8 @@ Tensor CrossbarGrid::compute_batch(const Tensor& rows, double x_max) {
       if (attributing) tile_deltas[w / nblocks] += deltas[w];
     }
 
-    // Vertical add in row-tile-ascending order per output element — the
-    // same fixed merge the per-vector path uses.
+    // Vertical add in row-tile-ascending order per output element (the
+    // paper's horizontal-collect / vertical-add of Fig. 3).
     for (std::size_t b = 0; b < cm; ++b) {
       float* orow = out.data() + (b0 + b) * total_cols_;
       for (std::size_t rt = 0; rt < row_tiles_; ++rt) {

@@ -32,18 +32,14 @@ class CrossbarGrid {
   // tile's fault seed and `step`); returns total bit-flips applied.
   std::size_t inject_at(std::uint64_t step);
 
-  // y[C] = W^T-free MVM: x has R entries. Tile MVMs dispatch to the shared
-  // thread pool (common/parallel.hpp); partial sums are combined serially in
-  // row-tile order, so results are bit-identical for any RERAMDL_THREADS.
-  std::vector<float> compute(const std::vector<float>& x, double x_max);
-
-  // Batched MVM fast path: rows is [m, R], returns [m, C]. All rows are
-  // quantized once per tile and evaluated by the collapsed-W_eff blocked
-  // kernel, parallelized over (tile x batch row-block) work items instead
-  // of tiles alone; per-block stats deltas merge serially and the vertical
-  // add runs in fixed row-tile order, so outputs AND aggregate stats are
-  // identical to m compute() calls, for any RERAMDL_THREADS. Falls back to
-  // per-vector compute() when config().bit_serial.
+  // The grid's one MVM: rows is [m, R], returns [m, C]. Parallelized over
+  // (row-strip x batch row-block) work items on the shared thread pool
+  // (common/parallel.hpp): each item quantizes its input segment once and
+  // runs every tile of the strip on it, dense or bit-serial alike. Per-item
+  // stats deltas merge serially and the vertical add runs in fixed
+  // row-tile order, so outputs AND aggregate stats are identical for any
+  // RERAMDL_THREADS and any split of the rows into calls; a one-row tensor
+  // is a single-vector MVM.
   Tensor compute_batch(const Tensor& rows, double x_max);
 
   // Age every array (retention drift).

@@ -8,7 +8,7 @@
 #include "core/accelerator_config.hpp"
 #include "mapping/planner.hpp"
 #include "nn/layer_spec.hpp"
-#include "pipeline/sim.hpp"
+#include "pipeline/analytic.hpp"
 
 namespace reramdl::core {
 

@@ -66,24 +66,38 @@ LayerSpec ReLU::spec(std::size_t in_c, std::size_t in_h, std::size_t in_w) const
   return passthrough_spec("relu", in_c, in_h, in_w);
 }
 
+// As ReLU, but the mask is positive(x): under a negative slope the output's
+// sign is not the input's. Both loops select branch-free between v and
+// v * slope.
 Tensor LeakyReLU::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  if (train) mask_.assign(x.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] > 0.0f) {
-      if (train) mask_[i] = true;
-    } else {
-      y[i] *= slope_;
-    }
+  const std::size_t n = x.numel();
+  Tensor y(x.shape());
+  const float* px = x.data();
+  float* py = y.data();
+  const float slope = slope_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = px[i];
+    py[i] = positive(v) ? v : v * slope;
+  }
+  if (train) {
+    mask_.resize(n);
+    std::uint8_t* pm = mask_.data();
+    for (std::size_t i = 0; i < n; ++i) pm[i] = positive(px[i]);
   }
   return y;
 }
 
 Tensor LeakyReLU::backward(const Tensor& grad_out) {
   RERAMDL_CHECK_EQ(grad_out.numel(), mask_.size());
-  Tensor gx = grad_out;
-  for (std::size_t i = 0; i < gx.numel(); ++i)
-    if (!mask_[i]) gx[i] *= slope_;
+  Tensor gx(grad_out.shape());
+  const float* pg = grad_out.data();
+  float* pgx = gx.data();
+  const std::uint8_t* pm = mask_.data();
+  const float slope = slope_;
+  for (std::size_t i = 0; i < mask_.size(); ++i) {
+    const float g = pg[i];
+    pgx[i] = pm[i] ? g : g * slope;
+  }
   return gx;
 }
 

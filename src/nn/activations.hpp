@@ -33,7 +33,8 @@ class LeakyReLU : public Layer {
 
  private:
   float slope_;
-  std::vector<bool> mask_;
+  // mask_[i] is input[i] > 0 from the last training forward.
+  std::vector<std::uint8_t> mask_;
 };
 
 class Sigmoid : public Layer {

@@ -76,70 +76,49 @@ void Conv2D::ensure_plan(std::size_t batch) {
 Tensor Conv2D::forward(const Tensor& x, bool train) {
   RERAMDL_CHECK_EQ(x.shape().rank(), 4u);
   const std::size_t n = x.shape()[0];
-  if (plan::enabled()) {
-    ensure_plan(n);
-    const std::size_t m = n * im2col_plan_.patches();
-    Tensor& cols = ws_.tensor(train ? detail::kWsCols : detail::kWsColsEval,
-                              Shape{m, geom_.patch_size()});
-    im2col_plan_.run(x.data(), n, cols.data());
-    Tensor hook_rows;
-    Tensor* rows = &hook_rows;
-    if (matmul_fn_) {
-      hook_rows = matmul_fn_(cols, w_);
-    } else {
-      rows = &ws_.tensor(detail::kWsRows, Shape{m, out_c_});
-      ops::matmul_into(cols, w_, *rows);
-    }
-    ops::add_row_bias(*rows, b_);
-    if (train) {
-      cached_batch_ = n;
-      used_plan_ = true;
-    }
-    Tensor y =
-        detail::rows_to_nchw(*rows, n, out_c_, geom_.out_h(), geom_.out_w());
-    // Inference passes end here; training keeps cols live for backward.
-    if (!train) ws_.trim();
-    return y;
+  ensure_plan(n);
+  const std::size_t m = n * im2col_plan_.patches();
+  Tensor& cols = ws_.tensor(train ? detail::kWsCols : detail::kWsColsEval,
+                            Shape{m, geom_.patch_size()});
+  im2col_plan_.run(x.data(), n, cols.data());
+  Tensor hook_rows;
+  Tensor* rows = &hook_rows;
+  if (matmul_fn_) {
+    hook_rows = matmul_fn_(cols, w_);
+  } else {
+    rows = &ws_.tensor(detail::kWsRows, Shape{m, out_c_});
+    ops::matmul_into(cols, w_, *rows);
   }
-  Tensor cols = im2col(x, geom_);
-  Tensor rows = matmul_fn_ ? matmul_fn_(cols, w_) : ops::matmul(cols, w_);
-  ops::add_row_bias(rows, b_);
-  if (train) {
-    cached_cols_ = std::move(cols);
-    cached_batch_ = n;
-    used_plan_ = false;
-  }
-  return detail::rows_to_nchw(rows, n, out_c_, geom_.out_h(), geom_.out_w());
+  ops::add_row_bias(*rows, b_);
+  if (train) cached_batch_ = n;
+  Tensor y =
+      detail::rows_to_nchw(*rows, n, out_c_, geom_.out_h(), geom_.out_w());
+  // Inference passes end here; training keeps cols live for backward.
+  if (!train) ws_.trim();
+  return y;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
   RERAMDL_CHECK_GT(cached_batch_, 0u);
-  if (used_plan_) {
-    const std::size_t n = cached_batch_;
-    const std::size_t m = n * im2col_plan_.patches();
-    // Same shapes as the caching forward, so these are pure re-fetches.
-    Tensor& cols = ws_.tensor(detail::kWsCols, Shape{m, geom_.patch_size()});
-    Tensor& grows = ws_.tensor(detail::kWsGrows, Shape{m, out_c_});
-    detail::nchw_to_rows_into(grad_out, grows);
-    ops::matmul_transposed_a_acc(cols, grows, gw_);
-    ops::column_sums_acc(grows, gb_);
-    // Transposed-weight panel: lets the input-gradient product run in the
-    // vectorizable axpy form, bit-identical to matmul_transposed_b on w_.
-    // Rebuilt every step because the optimizer updates w_ in place.
-    Tensor& wt = ws_.tensor(detail::kWsWt, Shape{out_c_, geom_.patch_size()});
-    ops::transpose_into(w_, wt);
-    Tensor& gcols = ws_.tensor(detail::kWsGcols, Shape{m, geom_.patch_size()});
-    ops::matmul_transposed_b_packed_into(grows, wt, gcols);
-    Tensor gx(Shape{n, geom_.in_c, geom_.in_h, geom_.in_w});
-    col2im_plan_.run(gcols.data(), n, gx.data());
-    ws_.trim();  // pass boundary: every slot's contents are dead now
-    return gx;
-  }
-  Tensor grows = detail::nchw_to_rows(grad_out);
-  gw_ += ops::matmul_transposed_a(cached_cols_, grows);
-  gb_ += ops::column_sums(grows);
-  Tensor gcols = ops::matmul_transposed_b(grows, w_);
-  return col2im(gcols, geom_, cached_batch_);
+  const std::size_t n = cached_batch_;
+  const std::size_t m = n * im2col_plan_.patches();
+  // Same shapes as the caching forward, so these are pure re-fetches.
+  Tensor& cols = ws_.tensor(detail::kWsCols, Shape{m, geom_.patch_size()});
+  Tensor& grows = ws_.tensor(detail::kWsGrows, Shape{m, out_c_});
+  detail::nchw_to_rows_into(grad_out, grows);
+  ops::matmul_transposed_a_acc(cols, grows, gw_);
+  ops::column_sums_acc(grows, gb_);
+  // Transposed-weight panel: lets the input-gradient product run in the
+  // vectorizable axpy form, bit-identical to matmul_transposed_b on w_.
+  // Rebuilt every step because the optimizer updates w_ in place.
+  Tensor& wt = ws_.tensor(detail::kWsWt, Shape{out_c_, geom_.patch_size()});
+  ops::transpose_into(w_, wt);
+  Tensor& gcols = ws_.tensor(detail::kWsGcols, Shape{m, geom_.patch_size()});
+  ops::matmul_transposed_b_packed_into(grows, wt, gcols);
+  Tensor gx(Shape{n, geom_.in_c, geom_.in_h, geom_.in_w});
+  col2im_plan_.run(gcols.data(), n, gx.data());
+  ws_.trim();  // pass boundary: every slot's contents are dead now
+  return gx;
 }
 
 std::vector<ParamRef> Conv2D::params() {

@@ -44,16 +44,14 @@ class Conv2D : public Layer {
   ConvGeometry geom_;
   std::size_t out_c_;
   Tensor w_, b_, gw_, gb_;
-  Tensor cached_cols_;
   std::size_t cached_batch_ = 0;
   MatmulFn matmul_fn_;
-  // Training-step fast path (plan::enabled()): precomputed im2col/col2im
-  // index plans plus an arena of reusable workspace tensors.
+  // Precomputed im2col/col2im index plans plus an arena of reusable
+  // workspace tensors.
   Im2ColPlan im2col_plan_;
   Col2ImPlan col2im_plan_;
   bool plan_built_ = false;
   std::size_t planned_batch_ = 0;
-  bool used_plan_ = false;  // which path the last train-forward took
   Workspace ws_;
 };
 
@@ -69,8 +67,7 @@ void nchw_to_rows_into(const Tensor& x, Tensor& rows);
 
 // Workspace slot layout shared by Conv2D and TransposedConv2D. kCols holds
 // the training-forward patch matrix (consumed again by backward); eval-mode
-// forwards stage in kColsEval so they never clobber the training cache,
-// matching the legacy cached_cols_ semantics.
+// forwards stage in kColsEval so they never clobber the training cache.
 enum WsSlot : std::size_t {
   kWsCols = 0,
   kWsColsEval,

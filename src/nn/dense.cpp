@@ -26,21 +26,16 @@ Tensor Dense::backward(const Tensor& grad_out) {
   RERAMDL_CHECK_EQ(grad_out.shape().rank(), 2u);
   RERAMDL_CHECK_EQ(grad_out.shape()[1], out_);
   RERAMDL_CHECK_EQ(cached_input_.shape()[0], grad_out.shape()[0]);
-  if (plan::enabled()) {
-    // Accumulating products skip the gradient-sized temporaries, and the
-    // pre-transposed weight panel lets the input-gradient product run in the
-    // vectorizable axpy form — bit-identical to matmul_transposed_b on w_.
-    ops::matmul_transposed_a_acc(cached_input_, grad_out, gw_);
-    ops::column_sums_acc(grad_out, gb_);
-    Tensor& wt = ws_.tensor(0, Shape{out_, in_});
-    ops::transpose_into(w_, wt);
-    Tensor gx = ops::matmul_transposed_b_packed(grad_out, wt);
-    ws_.trim();  // pass boundary: the transposed panel is dead now
-    return gx;
-  }
-  gw_ += ops::matmul_transposed_a(cached_input_, grad_out);
-  gb_ += ops::column_sums(grad_out);
-  return ops::matmul_transposed_b(grad_out, w_);
+  // Accumulating products skip the gradient-sized temporaries, and the
+  // pre-transposed weight panel lets the input-gradient product run in the
+  // vectorizable axpy form — bit-identical to matmul_transposed_b on w_.
+  ops::matmul_transposed_a_acc(cached_input_, grad_out, gw_);
+  ops::column_sums_acc(grad_out, gb_);
+  Tensor& wt = ws_.tensor(0, Shape{out_, in_});
+  ops::transpose_into(w_, wt);
+  Tensor gx = ops::matmul_transposed_b_packed(grad_out, wt);
+  ws_.trim();  // pass boundary: the transposed panel is dead now
+  return gx;
 }
 
 std::vector<ParamRef> Dense::params() {

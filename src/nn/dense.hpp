@@ -6,7 +6,6 @@
 #include <functional>
 
 #include "nn/layer.hpp"
-#include "tensor/conv_plan.hpp"
 #include "tensor/workspace.hpp"
 
 namespace reramdl::nn {
@@ -47,8 +46,8 @@ class Dense : public Layer {
   Tensor w_, b_, gw_, gb_;
   Tensor cached_input_;
   MatmulFn matmul_fn_;
-  // Fast-path workspace (plan::enabled()): holds the transposed-weight panel
-  // for the vectorizable input-gradient product.
+  // Holds the transposed-weight panel for the vectorizable input-gradient
+  // product.
   Workspace ws_;
 };
 

@@ -46,74 +46,50 @@ Tensor TransposedConv2D::forward(const Tensor& x, bool train) {
   RERAMDL_CHECK_EQ(x.shape()[2], in_h_);
   RERAMDL_CHECK_EQ(x.shape()[3], in_w_);
   const std::size_t n = x.shape()[0];
-  if (plan::enabled()) {
-    ensure_plan(n);
-    const std::size_t m = n * im2col_plan_.patches();
-    // The dilated gather plan reads straight from x; zero_insert is folded
-    // into the index table, so the dilated tensor is never materialized.
-    Tensor& cols = ws_.tensor(train ? detail::kWsCols : detail::kWsColsEval,
-                              Shape{m, dilated_geom_.patch_size()});
-    im2col_plan_.run(x.data(), n, cols.data());
-    Tensor hook_rows;
-    Tensor* rows = &hook_rows;
-    if (matmul_fn_) {
-      hook_rows = matmul_fn_(cols, w_);
-    } else {
-      rows = &ws_.tensor(detail::kWsRows, Shape{m, out_c_});
-      ops::matmul_into(cols, w_, *rows);
-    }
-    ops::add_row_bias(*rows, b_);
-    if (train) {
-      cached_batch_ = n;
-      used_plan_ = true;
-    }
-    Tensor y = detail::rows_to_nchw(*rows, n, out_c_, dilated_geom_.out_h(),
-                                    dilated_geom_.out_w());
-    // Inference passes end here; training keeps cols live for backward.
-    if (!train) ws_.trim();
-    return y;
+  ensure_plan(n);
+  const std::size_t m = n * im2col_plan_.patches();
+  // The dilated gather plan reads straight from x; zero_insert is folded
+  // into the index table, so the dilated tensor is never materialized.
+  Tensor& cols = ws_.tensor(train ? detail::kWsCols : detail::kWsColsEval,
+                            Shape{m, dilated_geom_.patch_size()});
+  im2col_plan_.run(x.data(), n, cols.data());
+  Tensor hook_rows;
+  Tensor* rows = &hook_rows;
+  if (matmul_fn_) {
+    hook_rows = matmul_fn_(cols, w_);
+  } else {
+    rows = &ws_.tensor(detail::kWsRows, Shape{m, out_c_});
+    ops::matmul_into(cols, w_, *rows);
   }
-  Tensor dilated = zero_insert(x, stride_);
-  Tensor cols = im2col(dilated, dilated_geom_);
-  Tensor rows = matmul_fn_ ? matmul_fn_(cols, w_) : ops::matmul(cols, w_);
-  ops::add_row_bias(rows, b_);
-  if (train) {
-    cached_cols_ = std::move(cols);
-    cached_batch_ = n;
-    used_plan_ = false;
-  }
-  return detail::rows_to_nchw(rows, n, out_c_, dilated_geom_.out_h(),
-                              dilated_geom_.out_w());
+  ops::add_row_bias(*rows, b_);
+  if (train) cached_batch_ = n;
+  Tensor y = detail::rows_to_nchw(*rows, n, out_c_, dilated_geom_.out_h(),
+                                  dilated_geom_.out_w());
+  // Inference passes end here; training keeps cols live for backward.
+  if (!train) ws_.trim();
+  return y;
 }
 
 Tensor TransposedConv2D::backward(const Tensor& grad_out) {
   RERAMDL_CHECK_GT(cached_batch_, 0u);
-  if (used_plan_) {
-    const std::size_t n = cached_batch_;
-    const std::size_t m = n * im2col_plan_.patches();
-    const std::size_t psz = dilated_geom_.patch_size();
-    Tensor& cols = ws_.tensor(detail::kWsCols, Shape{m, psz});
-    Tensor& grows = ws_.tensor(detail::kWsGrows, Shape{m, out_c_});
-    detail::nchw_to_rows_into(grad_out, grows);
-    ops::matmul_transposed_a_acc(cols, grows, gw_);
-    ops::column_sums_acc(grows, gb_);
-    Tensor& wt = ws_.tensor(detail::kWsWt, Shape{out_c_, psz});
-    ops::transpose_into(w_, wt);
-    Tensor& gcols = ws_.tensor(detail::kWsGcols, Shape{m, psz});
-    ops::matmul_transposed_b_packed_into(grows, wt, gcols);
-    // The dilated adjoint plan only keeps runs for real grid pixels, so it
-    // writes the undilated gradient directly (zero_insert_adjoint composed).
-    Tensor gx(Shape{n, in_c_, in_h_, in_w_});
-    col2im_plan_.run(gcols.data(), n, gx.data());
-    ws_.trim();  // pass boundary: every slot's contents are dead now
-    return gx;
-  }
-  Tensor grows = detail::nchw_to_rows(grad_out);
-  gw_ += ops::matmul_transposed_a(cached_cols_, grows);
-  gb_ += ops::column_sums(grows);
-  Tensor gcols = ops::matmul_transposed_b(grows, w_);
-  Tensor gdilated = col2im(gcols, dilated_geom_, cached_batch_);
-  return zero_insert_adjoint(gdilated, stride_, in_h_, in_w_);
+  const std::size_t n = cached_batch_;
+  const std::size_t m = n * im2col_plan_.patches();
+  const std::size_t psz = dilated_geom_.patch_size();
+  Tensor& cols = ws_.tensor(detail::kWsCols, Shape{m, psz});
+  Tensor& grows = ws_.tensor(detail::kWsGrows, Shape{m, out_c_});
+  detail::nchw_to_rows_into(grad_out, grows);
+  ops::matmul_transposed_a_acc(cols, grows, gw_);
+  ops::column_sums_acc(grows, gb_);
+  Tensor& wt = ws_.tensor(detail::kWsWt, Shape{out_c_, psz});
+  ops::transpose_into(w_, wt);
+  Tensor& gcols = ws_.tensor(detail::kWsGcols, Shape{m, psz});
+  ops::matmul_transposed_b_packed_into(grows, wt, gcols);
+  // The dilated adjoint plan only keeps runs for real grid pixels, so it
+  // writes the undilated gradient directly (zero_insert_adjoint composed).
+  Tensor gx(Shape{n, in_c_, in_h_, in_w_});
+  col2im_plan_.run(gcols.data(), n, gx.data());
+  ws_.trim();  // pass boundary: every slot's contents are dead now
+  return gx;
 }
 
 std::vector<ParamRef> TransposedConv2D::params() {

@@ -44,17 +44,15 @@ class TransposedConv2D : public Layer {
   // Geometry of the equivalent stride-1 convolution over the dilated input.
   ConvGeometry dilated_geom_;
   Tensor w_, b_, gw_, gb_;
-  Tensor cached_cols_;
   std::size_t cached_batch_ = 0;
   MatmulFn matmul_fn_;
-  // Plan-cached fast path: the dilated variants fold zero_insert /
-  // zero_insert_adjoint into the index tables, so neither direction ever
-  // materializes the zero-inserted tensor.
+  // The dilated plan variants fold zero_insert / zero_insert_adjoint into
+  // the index tables, so neither direction ever materializes the
+  // zero-inserted tensor.
   Im2ColPlan im2col_plan_;
   Col2ImPlan col2im_plan_;
   bool plan_built_ = false;
   std::size_t planned_batch_ = 0;
-  bool used_plan_ = false;
   Workspace ws_;
 };
 

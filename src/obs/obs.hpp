@@ -2,9 +2,10 @@
 // this one header and uses:
 //
 //   RERAMDL_TRACE_SCOPE("xbar.compute", "circuit");      // wall-clock span
-//   obs::ScopedHistogramTimer t("xbar.mvm_ns");          // latency histogram
+//   obs::ScopedHistogramTimer t("xbar.batch_mvm_ns");    // latency histogram
 //   if (obs::metrics_enabled()) {
-//     static obs::Counter& c = obs::Registry::instance().counter("xbar.mvms");
+//     static obs::Counter& c =
+//         obs::Registry::instance().counter("xbar.batch_mvms");
 //     c.add();
 //   }
 //

@@ -92,6 +92,14 @@ std::uint64_t regan_batch_cycles_sp_cs(const GanShape& s) {
   return regan_train_g_cycles(s);
 }
 
+std::uint64_t regan_batch_cycles(const GanShape& s, const ReGanOptions& opts) {
+  if (opts.spatial_parallelism)
+    return opts.computation_sharing ? regan_batch_cycles_sp_cs(s)
+                                    : regan_batch_cycles_sp(s);
+  return opts.computation_sharing ? regan_batch_cycles_cs(s)
+                                  : regan_batch_cycles_pipelined(s);
+}
+
 double pipelayer_training_utilization(std::uint64_t n, std::uint64_t l,
                                       std::uint64_t b) {
   const double work = static_cast<double>(n) * static_cast<double>(2 * l + 1);

@@ -67,6 +67,15 @@ std::uint64_t regan_batch_cycles_cs(const GanShape& s);
 // SP + CS: ① overlaps the shared pass; total = 2*l_g + 2*l_d + b + 1.
 std::uint64_t regan_batch_cycles_sp_cs(const GanShape& s);
 
+struct ReGanOptions {
+  bool spatial_parallelism = false;  // duplicate D: ① overlaps ②
+  bool computation_sharing = false;  // ② and ③ share the forward pass
+};
+
+// Full pipelined batch under `opts`: the matching one of the four forms
+// above (pipelined, SP, CS, SP + CS).
+std::uint64_t regan_batch_cycles(const GanShape& s, const ReGanOptions& opts);
+
 // ---- Utilization -----------------------------------------------------------
 
 // Fraction of pipeline-stage slots doing useful work during pipelined

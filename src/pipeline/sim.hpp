@@ -72,11 +72,6 @@ SimResult sim_pipelayer_inference(std::uint64_t n, std::uint64_t l,
 
 // ---- ReGAN schedules -------------------------------------------------------
 
-struct ReGanOptions {
-  bool spatial_parallelism = false;  // duplicate D: ① overlaps ②
-  bool computation_sharing = false;  // ② and ③ share the forward pass
-};
-
 // One training batch (phases ①②③ + updates). Matches the corresponding
 // regan_batch_cycles_* closed form.
 SimResult sim_regan_batch(const GanShape& shape, const ReGanOptions& opts,

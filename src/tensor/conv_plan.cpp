@@ -1,31 +1,15 @@
 #include "tensor/conv_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace reramdl {
 
 namespace plan {
-
-namespace {
-
-bool env_default() { return env::env_flag("RERAMDL_PLAN_CACHE", true); }
-
-std::atomic<bool>& flag() {
-  static std::atomic<bool> on{env_default()};
-  return on;
-}
-
-}  // namespace
-
-bool enabled() { return flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) { flag().store(on, std::memory_order_relaxed); }
 
 void count_cache(bool hit) {
   if (!obs::metrics_enabled()) return;

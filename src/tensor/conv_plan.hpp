@@ -34,12 +34,6 @@ namespace reramdl {
 
 namespace plan {
 
-// Global switch for the layers' plan-cached fast path (default on;
-// RERAMDL_PLAN_CACHE=0 in the environment disables it). Tests and
-// bench_train_step flip it to compare against the uncached reference path.
-bool enabled();
-void set_enabled(bool on);
-
 // Bumps the plan.cache_hits / plan.cache_misses counters (behind the
 // RERAMDL_METRICS gate). Layers call this from their ensure_plan step.
 void count_cache(bool hit);

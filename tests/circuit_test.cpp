@@ -8,6 +8,7 @@
 #include "circuit/spike_driver.hpp"
 #include "common/check.hpp"
 #include "common/stats.hpp"
+#include "oracle.hpp"
 
 namespace reramdl::circuit {
 namespace {
@@ -43,7 +44,7 @@ TEST_P(CrossbarAccuracy, MatchesFloatMvmWithinQuantizationError) {
 
   Crossbar xbar(cfg);
   xbar.program(w, 1.0);
-  const std::vector<float> y = xbar.compute(x, 1.0);
+  const std::vector<float> y = oracle::compute_row(xbar, x, 1.0);
   const std::vector<float> ref = reference_mvm(w, x);
 
   // Error budget: weight + input quantization each contribute at most half a
@@ -85,8 +86,8 @@ TEST_P(CrossbarBitSerial, FastPathEqualsBitSerialWithoutSaturation) {
   Crossbar fast(fast_cfg), serial(serial_cfg);
   fast.program(w, 1.0);
   serial.program(w, 1.0);
-  const auto yf = fast.compute(x, 1.0);
-  const auto ys = serial.compute(x, 1.0);
+  const auto yf = oracle::compute_row(fast, x, 1.0);
+  const auto ys = oracle::compute_row(serial, x, 1.0);
   ASSERT_EQ(yf.size(), ys.size());
   for (std::size_t j = 0; j < yf.size(); ++j)
     EXPECT_NEAR(yf[j], ys[j], 1e-4f) << "column " << j;
@@ -109,7 +110,7 @@ TEST(Crossbar, SaturationClampsAndIsCounted) {
   std::vector<float> x(64, 1.0f);
   Crossbar xbar(cfg);
   xbar.program(w, 1.0);
-  const auto y = xbar.compute(x, 1.0);
+  const auto y = oracle::compute_row(xbar, x, 1.0);
   EXPECT_GT(xbar.stats().saturated_counters, 0u);
   // Clamped output is strictly below the ideal 64.0 per column.
   for (const float v : y) EXPECT_LT(v, 64.0f);
@@ -123,7 +124,7 @@ TEST(Crossbar, ZeroInputGivesZeroOutput) {
   const Tensor w = Tensor::uniform(Shape{16, 16}, rng, -1.0f, 1.0f);
   Crossbar xbar(cfg);
   xbar.program(w, 1.0);
-  const auto y = xbar.compute(std::vector<float>(16, 0.0f), 1.0);
+  const auto y = oracle::compute_row(xbar, std::vector<float>(16, 0.0f), 1.0);
   for (const float v : y) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
@@ -137,8 +138,8 @@ TEST(Crossbar, StatsTrackProgramsAndComputes) {
   xbar.program(w, 1.0);
   // 8x8 entries x 4 slices x 2 polarities.
   EXPECT_EQ(xbar.stats().programmed_cells, 8u * 8u * 4u * 2u);
-  xbar.compute(std::vector<float>(8, 0.5f), 1.0);
-  xbar.compute(std::vector<float>(8, 0.5f), 1.0);
+  oracle::compute_row(xbar, std::vector<float>(8, 0.5f), 1.0);
+  oracle::compute_row(xbar, std::vector<float>(8, 0.5f), 1.0);
   EXPECT_EQ(xbar.stats().compute_ops, 2u);
   EXPECT_GT(xbar.stats().input_spikes, 0u);
 }
@@ -172,8 +173,8 @@ TEST(Crossbar, VariationShiftsResults) {
   vp.sigma = 0.3;
   device::VariationModel vm(vp, Rng(13));
   noisy.program(w, 1.0, &vm);
-  const auto yi = ideal.compute(x, 1.0);
-  const auto yn = noisy.compute(x, 1.0);
+  const auto yi = oracle::compute_row(ideal, x, 1.0);
+  const auto yn = oracle::compute_row(noisy, x, 1.0);
   EXPECT_GT(max_abs_diff(yi, yn), 0.0);
 }
 
@@ -203,8 +204,8 @@ TEST_P(GridComposition, TiledResultMatchesMonolithicCrossbar) {
   Crossbar mono(big);
   mono.program(w, 1.0);
 
-  const auto yg = grid.compute(x, 1.0);
-  const auto ym = mono.compute(x, 1.0);
+  const auto yg = oracle::compute_row(grid, x, 1.0);
+  const auto ym = oracle::compute_row(mono, x, 1.0);
   ASSERT_EQ(yg.size(), ym.size());
   // Identical quantization; partial-sum collection is exact.
   for (std::size_t j = 0; j < yg.size(); ++j) EXPECT_NEAR(yg[j], ym[j], 1e-4f);

@@ -1,13 +1,16 @@
-// Equivalence tests for the batched crossbar MVM fast path:
-//   (a) CrossbarGrid::compute_batch is bit-identical to looping the
-//       single-vector compute() path, for thread counts 1 / 4 / 8;
+// Equivalence tests for the one crossbar compute path, compute_batch:
+//   (a) CrossbarGrid::compute_batch is bit-identical to the per-tile
+//       slice-walk oracle (oracle::grid_reference) row by row, for thread
+//       counts 1 / 4 / 8;
 //   (b) the collapsed-W_eff fast path matches the slice-walk reference
-//       (compute_reference) exactly — without variation, with a variation
-//       model attached, and after retention drift;
-//   (c) aggregate CrossbarStats are identical between batched and looped
-//       execution.
+//       (oracle::compute_reference) exactly — without variation, with a
+//       variation model attached, and after retention drift;
+//   (c) aggregate CrossbarStats are identical between one batched call and
+//       one-row calls, and a bit-serial grid's work items match per-tile
+//       single-array calls in outputs and stats, saturation included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "common/rng.hpp"
 #include "device/variation.hpp"
 #include "tensor/tensor.hpp"
+#include "oracle.hpp"
 
 namespace {
 
@@ -39,7 +43,7 @@ Tensor batch_inputs(std::size_t m, std::size_t k, unsigned seed) {
   return Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
 }
 
-// Looped baseline: one grid.compute() per batch row.
+// Looped baseline: one one-row compute_batch per batch row.
 Tensor looped_compute(circuit::CrossbarGrid& grid, const Tensor& rows,
                       double x_max) {
   const std::size_t m = rows.shape()[0], k = rows.shape()[1];
@@ -47,8 +51,21 @@ Tensor looped_compute(circuit::CrossbarGrid& grid, const Tensor& rows,
   std::vector<float> x(k);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < k; ++j) x[j] = rows.at(i, j);
-    const std::vector<float> y = grid.compute(x, x_max);
+    const std::vector<float> y = oracle::compute_row(grid, x, x_max);
     for (std::size_t j = 0; j < y.size(); ++j) out.at(i, j) = y[j];
+  }
+  return out;
+}
+
+// The slice-walk oracle of every row.
+Tensor reference_compute(const circuit::CrossbarGrid& grid, const Tensor& rows,
+                         double x_max) {
+  const std::size_t m = rows.shape()[0], k = rows.shape()[1];
+  Tensor out(Shape{m, grid.total_cols()});
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::vector<float> x(rows.data() + i * k, rows.data() + (i + 1) * k);
+    const std::vector<float> y = oracle::grid_reference(grid, x, x_max);
+    std::copy(y.begin(), y.end(), out.data() + i * grid.total_cols());
   }
   return out;
 }
@@ -71,9 +88,9 @@ TEST(CrossbarBatch, GridBatchBitIdenticalToLoopedAcrossThreadCounts) {
     const Tensor rows = batch_inputs(m, 150, 7u + static_cast<unsigned>(m));
 
     parallel::set_thread_count(1);
-    circuit::CrossbarGrid looped_grid(small_grid_config());
-    looped_grid.program(w, 1.0);
-    const Tensor ref = looped_compute(looped_grid, rows, 1.0);
+    circuit::CrossbarGrid ref_grid(small_grid_config());
+    ref_grid.program(w, 1.0);
+    const Tensor ref = reference_compute(ref_grid, rows, 1.0);
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
       parallel::set_thread_count(threads);
@@ -101,8 +118,8 @@ TEST(CrossbarBatch, CollapsedFastPathMatchesSliceWalkReference) {
   std::vector<float> x(60);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const std::vector<float> fast = xbar.compute(x, 1.0);
-  const std::vector<float> ref = xbar.compute_reference(x, 1.0);
+  const std::vector<float> fast = oracle::compute_row(xbar, x, 1.0);
+  const std::vector<float> ref = oracle::compute_reference(xbar, x, 1.0);
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t j = 0; j < fast.size(); ++j)
     EXPECT_EQ(fast[j], ref[j]) << "column " << j;
@@ -123,8 +140,8 @@ TEST(CrossbarBatch, CollapsedFastPathMatchesReferenceAfterDrift) {
   std::vector<float> x(48);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const std::vector<float> fast = xbar.compute(x, 1.0);
-  const std::vector<float> ref = xbar.compute_reference(x, 1.0);
+  const std::vector<float> fast = oracle::compute_row(xbar, x, 1.0);
+  const std::vector<float> ref = oracle::compute_reference(xbar, x, 1.0);
   for (std::size_t j = 0; j < fast.size(); ++j)
     EXPECT_EQ(fast[j], ref[j]) << "column " << j;
 }
@@ -144,8 +161,8 @@ TEST(CrossbarBatch, CollapsedFastPathMatchesReferenceWithVariation) {
   std::vector<float> x(32);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const std::vector<float> fast = xbar.compute(x, 1.0);
-  const std::vector<float> ref = xbar.compute_reference(x, 1.0);
+  const std::vector<float> fast = oracle::compute_row(xbar, x, 1.0);
+  const std::vector<float> ref = oracle::compute_reference(xbar, x, 1.0);
   for (std::size_t j = 0; j < fast.size(); ++j)
     EXPECT_EQ(fast[j], ref[j]) << "column " << j;
 }
@@ -167,8 +184,8 @@ TEST(CrossbarBatch, WEffRebuiltOnReprogram) {
 
   std::vector<float> x(16);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto ya = xbar.compute(x, 1.0);
-  const auto yb = fresh.compute(x, 1.0);
+  const auto ya = oracle::compute_row(xbar, x, 1.0);
+  const auto yb = oracle::compute_row(fresh, x, 1.0);
   for (std::size_t j = 0; j < ya.size(); ++j) EXPECT_EQ(ya[j], yb[j]);
 }
 
@@ -189,9 +206,12 @@ TEST(CrossbarBatch, CrossbarComputeBatchMatchesPerRow) {
   for (std::size_t b = 0; b < 37; ++b) {
     std::vector<float> x(40);
     for (std::size_t i = 0; i < 40; ++i) x[i] = rows.at(b, i);
-    const std::vector<float> y = looped.compute(x, 1.0);
-    for (std::size_t j = 0; j < y.size(); ++j)
+    const std::vector<float> y = oracle::compute_row(looped, x, 1.0);
+    const std::vector<float> ref = oracle::compute_reference(looped, x, 1.0);
+    for (std::size_t j = 0; j < y.size(); ++j) {
       EXPECT_EQ(out.at(b, j), y[j]) << "row " << b << " col " << j;
+      EXPECT_EQ(out.at(b, j), ref[j]) << "row " << b << " col " << j;
+    }
   }
   expect_stats_eq(batched.stats(), looped.stats());
 }
@@ -210,8 +230,11 @@ TEST(CrossbarBatch, AggregateStatsIdenticalBatchedVsLooped) {
 
   const Tensor out_b = batched.compute_batch(rows, 1.0);
   const Tensor out_l = looped_compute(looped, rows, 1.0);
+  const Tensor ref = reference_compute(looped, rows, 1.0);
   EXPECT_EQ(std::memcmp(out_b.data(), out_l.data(),
                         out_l.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(out_b.data(), ref.data(), ref.numel() * sizeof(float)),
             0);
   expect_stats_eq(batched.aggregate_stats(), looped.aggregate_stats());
   // The stats themselves carry the expected totals: one MVM activation per
@@ -220,26 +243,59 @@ TEST(CrossbarBatch, AggregateStatsIdenticalBatchedVsLooped) {
             41u * batched.num_arrays());
 }
 
-TEST(CrossbarBatch, BitSerialGridBatchFallbackMatchesLooped) {
+// A bit-serial grid runs the same (row-strip x row-block) pool work items as
+// a dense one. With counters narrow enough to clamp, its outputs and every
+// stats counter must equal single-array compute_batch calls on each tile's
+// input segment, summed in row-tile order — at any thread count.
+TEST(CrossbarBatch, BitSerialGridMatchesPerTileCallsUnderSaturation) {
   ThreadCountGuard guard;
-  parallel::set_thread_count(2);
   Rng rng(17);
   circuit::CrossbarConfig cfg = small_grid_config();
   cfg.bit_serial = true;
-  const Tensor w = Tensor::uniform(Shape{40, 40}, rng, -1.0f, 1.0f);
-  const Tensor rows = batch_inputs(3, 40, 31);
+  cfg.counter_bits = 5;  // clamps at 31; a 32-row bitline sums to 32 * 15
+  // 3x2 tiles with ragged bottom/right edges; 37 rows straddle one block.
+  const Tensor w = Tensor::uniform(Shape{80, 50}, rng, -1.0f, 1.0f);
+  const Tensor rows = batch_inputs(37, 80, 31);
+  const std::size_t m = rows.shape()[0];
 
-  circuit::CrossbarGrid batched(cfg);
-  batched.program(w, 1.0);
-  circuit::CrossbarGrid looped(cfg);
-  looped.program(w, 1.0);
+  parallel::set_thread_count(1);
+  circuit::CrossbarGrid per_tile(cfg);
+  per_tile.program(w, 1.0);
+  ASSERT_EQ(per_tile.row_tiles(), 3u);
+  ASSERT_EQ(per_tile.col_tiles(), 2u);
+  Tensor ref(Shape{m, 50});
+  for (std::size_t rt = 0; rt < per_tile.row_tiles(); ++rt) {
+    for (std::size_t ct = 0; ct < per_tile.col_tiles(); ++ct) {
+      circuit::Crossbar& tile =
+          per_tile.array_mut(rt * per_tile.col_tiles() + ct);
+      Tensor seg(Shape{m, tile.active_rows()});
+      for (std::size_t b = 0; b < m; ++b)
+        for (std::size_t i = 0; i < tile.active_rows(); ++i)
+          seg.at(b, i) = rows.at(b, rt * cfg.rows + i);
+      const Tensor part = tile.compute_batch(seg, 1.0);
+      for (std::size_t b = 0; b < m; ++b)
+        for (std::size_t j = 0; j < tile.active_cols(); ++j)
+          ref.at(b, ct * cfg.data_cols() + j) += part.at(b, j);
+    }
+  }
+  const circuit::CrossbarStats want = per_tile.aggregate_stats();
+  ASSERT_GT(want.saturated_counters, 0u);
+  EXPECT_EQ(want.compute_ops, m * per_tile.num_arrays());
 
-  const Tensor out_b = batched.compute_batch(rows, 1.0);
-  const Tensor out_l = looped_compute(looped, rows, 1.0);
-  EXPECT_EQ(std::memcmp(out_b.data(), out_l.data(),
-                        out_l.numel() * sizeof(float)),
-            0);
-  expect_stats_eq(batched.aggregate_stats(), looped.aggregate_stats());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    parallel::set_thread_count(threads);
+    circuit::CrossbarGrid grid(cfg);
+    grid.program(w, 1.0);
+    const Tensor out = grid.compute_batch(rows, 1.0);
+    ASSERT_EQ(out.shape(), ref.shape());
+    EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.numel() * sizeof(float)),
+              0);
+    const circuit::CrossbarStats got = grid.aggregate_stats();
+    EXPECT_EQ(got.saturated_counters, want.saturated_counters);
+    EXPECT_EQ(got.input_spikes, want.input_spikes);
+    EXPECT_EQ(got.compute_ops, want.compute_ops);
+  }
 }
 
 TEST(CrossbarBatch, EmptyBatchReturnsEmptyOutput) {

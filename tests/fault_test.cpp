@@ -17,6 +17,7 @@
 #include "device/variation.hpp"
 #include "workload/datasets.hpp"
 #include "workload/model_zoo.hpp"
+#include "oracle.hpp"
 
 namespace reramdl {
 namespace {
@@ -170,7 +171,7 @@ TEST(CrossbarFaults, FaultFreeOptionsAreBitIdenticalToLegacyProgram) {
   plain.rows = plain.cols = 64;
   Crossbar legacy(plain);
   legacy.program(w, 1.0);
-  const auto y_legacy = legacy.compute(x, 1.0);
+  const auto y_legacy = oracle::compute_row(legacy, x, 1.0);
 
   Crossbar with_opts(plain);
   with_opts.program(w, 1.0, ProgramOptions{});
@@ -188,7 +189,7 @@ TEST(CrossbarFaults, FaultFreeOptionsAreBitIdenticalToLegacyProgram) {
     ASSERT_EQ(xb->effective_weights().size(), legacy.effective_weights().size());
     for (std::size_t i = 0; i < legacy.effective_weights().size(); ++i)
       EXPECT_EQ(xb->effective_weights()[i], legacy.effective_weights()[i]);
-    const auto y = xb->compute(x, 1.0);
+    const auto y = oracle::compute_row(*xb, x, 1.0);
     for (std::size_t j = 0; j < y_legacy.size(); ++j)
       EXPECT_EQ(y[j], y_legacy[j]);
     EXPECT_EQ(xb->stats().stuck_cells, 0u);
@@ -365,8 +366,8 @@ TEST(CrossbarFaults, InjectAtIsDeterministicAndPersistent) {
   std::vector<float> x(64);
   Rng xrng(36);
   for (auto& v : x) v = static_cast<float>(xrng.uniform(-1.0, 1.0));
-  const auto fast = a.compute(x, 1.0);
-  const auto ref = a.compute_reference(x, 1.0);
+  const auto fast = oracle::compute_row(a, x, 1.0);
+  const auto ref = oracle::compute_reference(a, x, 1.0);
   for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], ref[j]);
 
   // A different injection step draws an independent flip set.
@@ -405,8 +406,8 @@ TEST(CrossbarFaults, DriftAfterInjectRebuildsConsistently) {
   std::vector<float> x(48);
   Rng xrng(52);
   for (auto& v : x) v = static_cast<float>(xrng.uniform(-1.0, 1.0));
-  const auto fast = a.compute(x, 1.0);
-  const auto ref = a.compute_reference(x, 1.0);
+  const auto fast = oracle::compute_row(a, x, 1.0);
+  const auto ref = oracle::compute_reference(a, x, 1.0);
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], ref[j]);
 }
@@ -444,8 +445,8 @@ TEST(CrossbarFaults, InjectDriftOrderIsDeterministicPerSequence) {
   Rng xrng(55);
   for (auto& v : x) v = static_cast<float>(xrng.uniform(-1.0, 1.0));
   for (Crossbar* xb : {&a, &c}) {
-    const auto fast = xb->compute(x, 1.0);
-    const auto ref = xb->compute_reference(x, 1.0);
+    const auto fast = oracle::compute_row(*xb, x, 1.0);
+    const auto ref = oracle::compute_reference(*xb, x, 1.0);
     for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], ref[j]);
   }
 }
@@ -470,18 +471,8 @@ TEST(GridFaults, DriftAndInjectInterleaveMatchesOracleAcrossTiles) {
   std::vector<float> x(64);
   Rng xrng(58);
   for (auto& v : x) v = static_cast<float>(xrng.uniform(-1.0, 1.0));
-  const auto got = grid.compute(x, 1.0);
-  std::vector<float> want(64, 0.0f);
-  for (std::size_t rt = 0; rt < grid.row_tiles(); ++rt) {
-    for (std::size_t ct = 0; ct < grid.col_tiles(); ++ct) {
-      const Crossbar& tile = grid.array(rt * grid.col_tiles() + ct);
-      std::vector<float> seg(x.begin() + rt * 32,
-                             x.begin() + rt * 32 + tile.active_rows());
-      const auto part = tile.compute_reference(seg, 1.0);
-      for (std::size_t j = 0; j < part.size(); ++j)
-        want[ct * 32 + j] += part[j];
-    }
-  }
+  const auto got = oracle::compute_row(grid, x, 1.0);
+  const auto want = oracle::grid_reference(grid, x, 1.0);
   for (std::size_t j = 0; j < 64; ++j) EXPECT_EQ(got[j], want[j]);
 }
 

@@ -28,6 +28,7 @@
 #include "pipeline/sim.hpp"
 #include "tensor/ops.hpp"
 #include "workload/model_zoo.hpp"
+#include "oracle.hpp"
 
 namespace reramdl {
 namespace {
@@ -802,7 +803,7 @@ TEST(TraceSchema, EndToEndFileValidates) {
     circuit::CrossbarGrid grid(cfg);
     grid.program(w, 1.0);
     std::vector<float> x(200, 0.25f);
-    (void)grid.compute(x, 1.0);
+    (void)oracle::compute_row(grid, x, 1.0);
   }
   {  // arch scope (simulated bank/noc timeline + wall span)
     const arch::ChipConfig chip = arch::pipelayer_chip();

@@ -14,6 +14,7 @@
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
+#include "oracle.hpp"
 
 namespace {
 
@@ -202,7 +203,7 @@ TEST(ParallelDeterminism, CrossbarGridMvmBitIdenticalOneVsEightThreads) {
   const auto run = [&]() {
     circuit::CrossbarGrid grid(cfg);
     grid.program(w, 1.0);
-    return grid.compute(x, 1.0);
+    return oracle::compute_row(grid, x, 1.0);
   };
 
   parallel::set_thread_count(1);

@@ -1,10 +1,10 @@
-// Training-step plan cache / workspace arena acceptance tests: the
-// plan-cached fast path must be bit-identical to the uncached reference path
-// for every layer type and thread count, plans must rebuild correctly across
-// shape changes, and the arena must stop allocating once warm.
+// Training-step plan cache / workspace arena acceptance tests: each layer's
+// one plan-cached path must be bit-identical to the uncached reference step
+// in tests/oracle for every layer type and thread count, plans must rebuild
+// correctly across shape changes, and the arena must stop allocating once
+// warm.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,20 +16,17 @@
 #include "nn/trainer.hpp"
 #include "nn/transposed_conv2d.hpp"
 #include "obs/obs.hpp"
-#include "tensor/conv_plan.hpp"
+#include "oracle.hpp"
 #include "workload/datasets.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace reramdl::nn {
 namespace {
 
-// Restores the plan switch and the pool size after each test.
+// Restores the pool size after each test.
 class PlanCacheTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    plan::set_enabled(true);
-    parallel::set_thread_count(0);
-  }
+  void TearDown() override { parallel::set_thread_count(0); }
 };
 
 Tensor random_tensor(const Shape& shape, Rng& rng) {
@@ -54,37 +51,48 @@ std::pair<Tensor, Tensor> run_step(Layer& layer, const Tensor& x,
   return {std::move(y), std::move(gx)};
 }
 
-// Builds a layer twice from the same seed, runs the reference (uncached)
-// path once at 1 thread, then checks the plan path reproduces output, input
-// gradient, and parameter gradients bitwise at each thread count.
-template <typename MakeLayer>
-void check_layer_bit_identity(MakeLayer make, const Shape& in_shape) {
+// Evaluates the uncached oracle step `reference(layer, x, gout)` once at 1
+// thread, then checks that a layer built from the same seed reproduces
+// output, input gradient, and parameter gradients bitwise at each thread
+// count.
+template <typename MakeLayer, typename Reference>
+void check_layer_bit_identity(MakeLayer make, Reference reference,
+                              const Shape& in_shape) {
   Rng data_rng(42);
   const Tensor x = random_tensor(in_shape, data_rng);
 
-  plan::set_enabled(false);
   parallel::set_thread_count(1);
   Rng ref_rng(7);
-  auto ref = make(ref_rng);
-  const Tensor ref_y = ref->forward(x, true);
-  const Tensor gout = random_tensor(ref_y.shape(), data_rng);
-  const Tensor ref_gx = ref->backward(gout);
+  auto ref_layer = make(ref_rng);
+  const Shape out_shape = ref_layer->forward(x, /*train=*/false).shape();
+  const Tensor gout = random_tensor(out_shape, data_rng);
+  const oracle::LayerStep ref = reference(*ref_layer, x, gout);
 
   for (std::size_t threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    plan::set_enabled(true);
     parallel::set_thread_count(threads);
     Rng rng(7);
     auto layer = make(rng);
     auto [y, gx] = run_step(*layer, x, gout);
-    expect_bitwise_equal(y, ref_y, "forward output");
-    expect_bitwise_equal(gx, ref_gx, "input gradient");
-    auto rp = ref->params();
+    expect_bitwise_equal(y, ref.y, "forward output");
+    expect_bitwise_equal(gx, ref.gx, "input gradient");
     auto pp = layer->params();
-    ASSERT_EQ(rp.size(), pp.size());
-    for (std::size_t i = 0; i < rp.size(); ++i)
-      expect_bitwise_equal(*pp[i].grad, *rp[i].grad, "parameter gradient");
+    ASSERT_EQ(pp.size(), 2u);
+    expect_bitwise_equal(*pp[0].grad, ref.gw, "weight gradient");
+    expect_bitwise_equal(*pp[1].grad, ref.gb, "bias gradient");
   }
+}
+
+auto conv_reference() {
+  return [](Conv2D& l, const Tensor& x, const Tensor& gout) {
+    return oracle::conv_step(x, l.weights(), l.bias(), l.geometry(), gout);
+  };
+}
+
+auto dense_reference() {
+  return [](Dense& l, const Tensor& x, const Tensor& gout) {
+    return oracle::dense_step(x, l.weights(), l.bias(), gout);
+  };
 }
 
 TEST_F(PlanCacheTest, Conv2DMatchesUncachedPathBitwise) {
@@ -92,7 +100,7 @@ TEST_F(PlanCacheTest, Conv2DMatchesUncachedPathBitwise) {
       [](Rng& rng) {
         return std::make_unique<Conv2D>(3, 12, 12, 8, 3, 1, 1, rng);
       },
-      Shape{4, 3, 12, 12});
+      conv_reference(), Shape{4, 3, 12, 12});
 }
 
 TEST_F(PlanCacheTest, Conv2DStridedNoPadMatchesUncachedPathBitwise) {
@@ -100,7 +108,7 @@ TEST_F(PlanCacheTest, Conv2DStridedNoPadMatchesUncachedPathBitwise) {
       [](Rng& rng) {
         return std::make_unique<Conv2D>(2, 13, 11, 5, 3, 2, 0, rng);
       },
-      Shape{3, 2, 13, 11});
+      conv_reference(), Shape{3, 2, 13, 11});
 }
 
 TEST_F(PlanCacheTest, TransposedConv2DMatchesUncachedPathBitwise) {
@@ -108,23 +116,47 @@ TEST_F(PlanCacheTest, TransposedConv2DMatchesUncachedPathBitwise) {
       [](Rng& rng) {
         return std::make_unique<TransposedConv2D>(4, 7, 7, 3, 4, 2, 1, rng);
       },
+      [](TransposedConv2D& l, const Tensor& x, const Tensor& gout) {
+        return oracle::tconv_step(x, l.weights(), l.bias(), 4, 2, 1, gout);
+      },
       Shape{4, 4, 7, 7});
 }
 
 TEST_F(PlanCacheTest, DenseMatchesUncachedPathBitwise) {
   check_layer_bit_identity(
       [](Rng& rng) { return std::make_unique<Dense>(37, 19, rng); },
-      Shape{8, 37});
+      dense_reference(), Shape{8, 37});
+}
+
+// LeNet-small's four weighted layers (workload::make_lenet_small) at its
+// training batch of 16: the shapes the whole-run test below composes.
+TEST_F(PlanCacheTest, LeNetSmallLayersMatchUncachedPathBitwise) {
+  check_layer_bit_identity(
+      [](Rng& rng) {
+        return std::make_unique<Conv2D>(1, 28, 28, 8, 5, 1, 2, rng);
+      },
+      conv_reference(), Shape{16, 1, 28, 28});
+  check_layer_bit_identity(
+      [](Rng& rng) {
+        return std::make_unique<Conv2D>(8, 14, 14, 16, 5, 1, 0, rng);
+      },
+      conv_reference(), Shape{16, 8, 14, 14});
+  check_layer_bit_identity(
+      [](Rng& rng) { return std::make_unique<Dense>(16 * 5 * 5, 64, rng); },
+      dense_reference(), Shape{16, 16 * 5 * 5});
+  check_layer_bit_identity(
+      [](Rng& rng) { return std::make_unique<Dense>(64, 10, rng); },
+      dense_reference(), Shape{16, 64});
 }
 
 // Whole training runs (LeNet on synthetic MNIST) must produce the same loss
-// trajectory and final weights with the fast path on and off.
-TEST_F(PlanCacheTest, TrainingRunMatchesUncachedPathBitwise) {
+// trajectory and final weights at every thread count; the per-layer steps
+// are pinned to the oracle above.
+TEST_F(PlanCacheTest, TrainingRunBitIdenticalAcrossThreadCounts) {
   Rng data_rng(200);
   const auto train = workload::make_mnist_like(96, data_rng);
 
-  auto run = [&](bool cached) {
-    plan::set_enabled(cached);
+  auto run = [&]() {
     Rng rng(100);
     auto net = workload::make_lenet_small(rng);
     Sgd opt(net.params(), 0.05f, 0.9f);
@@ -141,11 +173,11 @@ TEST_F(PlanCacheTest, TrainingRunMatchesUncachedPathBitwise) {
   };
 
   parallel::set_thread_count(1);
-  const auto ref = run(false);
+  const auto ref = run();
   for (std::size_t threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     parallel::set_thread_count(threads);
-    const auto got = run(true);
+    const auto got = run();
     ASSERT_EQ(got.first.size(), ref.first.size());
     for (std::size_t i = 0; i < ref.first.size(); ++i)
       ASSERT_EQ(got.first[i], ref.first[i]) << "epoch " << i << " loss";
@@ -162,22 +194,15 @@ TEST_F(PlanCacheTest, BatchShapeChangeRekeysPlan) {
   const Tensor x4 = random_tensor(Shape{4, 3, 10, 10}, data_rng);
   const Tensor x2 = random_tensor(Shape{2, 3, 10, 10}, data_rng);
 
-  auto make = [](Rng& rng) {
-    return std::make_unique<Conv2D>(3, 10, 10, 6, 3, 1, 1, rng);
-  };
-
-  plan::set_enabled(false);
-  Rng ref_rng(9);
-  auto ref = make(ref_rng);
-  const Tensor r4 = ref->forward(x4, true);
-  const Tensor r2 = ref->forward(x2, true);
-
-  plan::set_enabled(true);
   Rng rng(9);
-  auto layer = make(rng);
-  expect_bitwise_equal(layer->forward(x4, true), r4, "batch 4");
-  expect_bitwise_equal(layer->forward(x2, true), r2, "batch 2");
-  expect_bitwise_equal(layer->forward(x4, true), r4, "batch 4 again");
+  Conv2D conv(3, 10, 10, 6, 3, 1, 1, rng);
+  const Tensor r4 =
+      oracle::conv_forward(x4, conv.weights(), conv.bias(), conv.geometry());
+  const Tensor r2 =
+      oracle::conv_forward(x2, conv.weights(), conv.bias(), conv.geometry());
+  expect_bitwise_equal(conv.forward(x4, true), r4, "batch 4");
+  expect_bitwise_equal(conv.forward(x2, true), r2, "batch 2");
+  expect_bitwise_equal(conv.forward(x4, true), r4, "batch 4 again");
 }
 
 TEST_F(PlanCacheTest, CacheHitMissCountersTrackBatchKey) {
@@ -347,21 +372,6 @@ TEST_F(PlanCacheTest, BoundedArenaVaryingBatchMatchesUncapped) {
 
   Workspace::set_default_byte_cap(default_cap);
   obs::set_metrics_enabled(was_enabled);
-}
-
-// RERAMDL_PLAN_CACHE=0 must fall back to the reference path (observable via
-// the plan switch the env var initializes).
-TEST_F(PlanCacheTest, DisabledPlanPathStillTrains) {
-  plan::set_enabled(false);
-  Rng data_rng(400);
-  const auto train = workload::make_mnist_like(32, data_rng);
-  Rng rng(401);
-  auto net = workload::make_lenet_small(rng);
-  Sgd opt(net.params(), 0.05f, 0.9f);
-  Trainer trainer(net, opt);
-  const auto e1 = trainer.train_epoch(train.images, train.labels, 16, rng);
-  EXPECT_TRUE(std::isfinite(e1.mean_loss));
-  EXPECT_EQ(e1.samples, 32u);
 }
 
 }  // namespace

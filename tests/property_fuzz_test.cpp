@@ -15,6 +15,7 @@
 #include "pipeline/analytic.hpp"
 #include "pipeline/sim.hpp"
 #include "tensor/ops.hpp"
+#include "oracle.hpp"
 
 namespace reramdl {
 namespace {
@@ -46,7 +47,7 @@ TEST_P(SeededFuzz, CrossbarGridBoundedError) {
 
   circuit::CrossbarGrid grid(cfg);
   grid.program(w, 1.0);
-  const auto y = grid.compute(x, 1.0);
+  const auto y = oracle::compute_row(grid, x, 1.0);
 
   // Quantization error bound (loose): rows * (w_step/2 + x_step/2) * 4.
   const double w_step = 1.0 / 65535.0, x_step = 1.0 / 255.0;

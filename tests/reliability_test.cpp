@@ -3,6 +3,7 @@
 #include "circuit/crossbar.hpp"
 #include "common/check.hpp"
 #include "device/reliability.hpp"
+#include "oracle.hpp"
 
 namespace reramdl {
 namespace {
@@ -64,9 +65,9 @@ TEST(CrossbarDrift, ScalesOutputsMultiplicatively) {
   const Tensor w = Tensor::uniform(Shape{16, 16}, rng, 0.1f, 1.0f);
   xbar.program(w, 1.0);
   std::vector<float> x(16, 0.5f);
-  const auto fresh = xbar.compute(x, 1.0);
+  const auto fresh = oracle::compute_row(xbar, x, 1.0);
   xbar.apply_drift(0.9);
-  const auto aged = xbar.compute(x, 1.0);
+  const auto aged = oracle::compute_row(xbar, x, 1.0);
   for (std::size_t j = 0; j < fresh.size(); ++j)
     EXPECT_NEAR(aged[j], fresh[j] * 0.9f, 2e-2f);
 }
@@ -79,10 +80,10 @@ TEST(CrossbarDrift, AccumulatesAcrossApplications) {
   const Tensor w = Tensor::uniform(Shape{8, 8}, rng, 0.1f, 1.0f);
   xbar.program(w, 1.0);
   std::vector<float> x(8, 1.0f);
-  const auto fresh = xbar.compute(x, 1.0);
+  const auto fresh = oracle::compute_row(xbar, x, 1.0);
   xbar.apply_drift(0.8);
   xbar.apply_drift(0.5);
-  const auto aged = xbar.compute(x, 1.0);
+  const auto aged = oracle::compute_row(xbar, x, 1.0);
   for (std::size_t j = 0; j < fresh.size(); ++j)
     EXPECT_NEAR(aged[j], fresh[j] * 0.4f, 5e-2f);
 }
@@ -95,10 +96,10 @@ TEST(CrossbarDrift, ReprogramRestoresFreshLevels) {
   const Tensor w = Tensor::uniform(Shape{8, 8}, rng, 0.1f, 1.0f);
   xbar.program(w, 1.0);
   std::vector<float> x(8, 1.0f);
-  const auto fresh = xbar.compute(x, 1.0);
+  const auto fresh = oracle::compute_row(xbar, x, 1.0);
   xbar.apply_drift(0.5);
   xbar.program(w, 1.0);  // refresh
-  const auto refreshed = xbar.compute(x, 1.0);
+  const auto refreshed = oracle::compute_row(xbar, x, 1.0);
   for (std::size_t j = 0; j < fresh.size(); ++j)
     EXPECT_FLOAT_EQ(refreshed[j], fresh[j]);
 }
@@ -160,8 +161,8 @@ TEST(CrossbarDrift, FastPathMatchesReferenceUnderActiveFaultMap) {
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<float> x(32);
     for (auto& v : x) v = xrng.uniform(-1.0, 1.0);
-    const auto fast = xbar.compute(x, 1.0);
-    const auto ref = xbar.compute_reference(x, 1.0);
+    const auto fast = oracle::compute_row(xbar, x, 1.0);
+    const auto ref = oracle::compute_reference(xbar, x, 1.0);
     for (std::size_t j = 0; j < fast.size(); ++j) EXPECT_EQ(fast[j], ref[j]);
   }
 }

@@ -6,8 +6,8 @@
 //       i-ascending double loop it replaced;
 //   (c) a CrossbarGrid reprogrammed in place against a freshly built one,
 //       and the ideal-write program branch against the per-cell path;
-//   (d) ReLU forward/backward against the std::vector<bool> mask loop, and
-//       ops::input_range against its float loop.
+//   (d) ReLU and LeakyReLU forward/backward against the std::vector<bool>
+//       mask loops, and ops::input_range against its float loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "nn/activations.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
+#include "oracle.hpp"
 
 namespace {
 
@@ -108,9 +109,10 @@ TEST_P(TrainKernels, QuantizeLevelsMatchesScalarQuantize) {
   }
 }
 
-// Every crossbar input path quantizes through quantize_levels: the batched
-// grid path, the per-vector bit-serial path and compute_reference. Each is
-// checked against outputs and spike counts built from scalar quantize().
+// Every crossbar input path quantizes through quantize_levels: the grid's
+// compute_batch, a single bit-serial array's compute_batch and the
+// slice-walk oracle. Each is checked against outputs and spike counts built
+// from scalar quantize().
 TEST_P(TrainKernels, CrossbarInputPathsMatchScalarQuantize) {
   circuit::CrossbarConfig cfg;
   cfg.rows = 32;
@@ -158,8 +160,8 @@ TEST_P(TrainKernels, CrossbarInputPathsMatchScalarQuantize) {
   }
   EXPECT_EQ(grid.aggregate_stats().input_spikes, want_spikes);
 
-  // Single arrays: compute_reference and the bit-serial compute() against
-  // the same scalar levels.
+  // Single arrays: the slice-walk oracle and a one-row bit-serial
+  // compute_batch against the same scalar levels.
   const Tensor w_small = Tensor::uniform(Shape{cfg.rows, cfg.cols}, rng, -1.0f, 1.0f);
   circuit::Crossbar fast(cfg);
   fast.program(w_small, 1.0);
@@ -181,10 +183,10 @@ TEST_P(TrainKernels, CrossbarInputPathsMatchScalarQuantize) {
     }
     for (std::size_t i = 0; i < cfg.rows; ++i)
       row_spikes += scalar_spikes(xq.quantize(xv[i]));
-    const std::vector<float> ref = fast.compute_reference(xv, x_max);
+    const std::vector<float> ref = oracle::compute_reference(fast, xv, x_max);
     expect_bitwise_eq(ref.data(), want.data(), cfg.cols);
     const std::uint64_t before = serial.stats().input_spikes;
-    const std::vector<float> ys = serial.compute(xv, x_max);
+    const std::vector<float> ys = oracle::compute_row(serial, xv, x_max);
     EXPECT_EQ(serial.stats().input_spikes - before, row_spikes);
     for (std::size_t j = 0; j < cfg.cols; ++j)
       EXPECT_NEAR(ys[j], want[j], 1e-5) << "bit-serial column " << j;
@@ -278,8 +280,8 @@ void expect_stats_eq(const circuit::CrossbarStats& a,
   EXPECT_EQ(a.spare_cols_used, b.spare_cols_used);
 }
 
-// Levels (through the slice-walk compute_reference), W_eff, every output
-// path, and every stats and health field of every tile.
+// Levels (through the slice-walk oracle), W_eff, batched and one-row
+// outputs, and every stats and health field of every tile.
 void expect_grids_eq(circuit::CrossbarGrid& a, circuit::CrossbarGrid& b,
                      const Tensor& rows, double x_max) {
   ASSERT_EQ(a.num_arrays(), b.num_arrays());
@@ -297,8 +299,8 @@ void expect_grids_eq(circuit::CrossbarGrid& a, circuit::CrossbarGrid& b,
       ASSERT_EQ(bits_of(wa[e]), bits_of(wb[e])) << "tile " << t << " W_eff " << e;
     std::vector<float> x(ta.active_rows());
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = rows.at(0, i);
-    const std::vector<float> ra = ta.compute_reference(x, x_max);
-    const std::vector<float> rb = tb.compute_reference(x, x_max);
+    const std::vector<float> ra = oracle::compute_reference(ta, x, x_max);
+    const std::vector<float> rb = oracle::compute_reference(tb, x, x_max);
     expect_bitwise_eq(ra.data(), rb.data(), ra.size());
     expect_stats_eq(ta.stats(), tb.stats());
     expect_health_eq(ta.health(), tb.health());
@@ -308,8 +310,8 @@ void expect_grids_eq(circuit::CrossbarGrid& a, circuit::CrossbarGrid& b,
   const Tensor yb = b.compute_batch(rows, x_max);
   expect_bitwise_eq(ya.data(), yb.data(), ya.numel());
   std::vector<float> x0(rows.data(), rows.data() + rows.shape()[1]);
-  const std::vector<float> va = a.compute(x0, x_max);
-  const std::vector<float> vb = b.compute(x0, x_max);
+  const std::vector<float> va = oracle::compute_row(a, x0, x_max);
+  const std::vector<float> vb = oracle::compute_row(b, x0, x_max);
   expect_bitwise_eq(va.data(), vb.data(), va.size());
   expect_stats_eq(a.aggregate_stats(), b.aggregate_stats());
 }
@@ -457,6 +459,61 @@ TEST_P(TrainKernels, ReLUMatchesMaskLoop) {
   relu.forward(Tensor::uniform(Shape{2, 5}, rng, -1.0f, 1.0f), false);
   const Tensor gx_old = old.backward(g);
   const Tensor gx_new = relu.backward(g);
+  expect_bitwise_eq(gx_new.data(), gx_old.data(), g.numel());
+}
+
+// The LeakyReLU this layer replaced: the same mask loop with a slope.
+struct OldLeakyReLU {
+  float slope;
+  std::vector<bool> mask;
+  Tensor forward(const Tensor& x) {
+    Tensor y = x;
+    mask.assign(x.numel(), false);
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      if (y[i] > 0.0f)
+        mask[i] = true;
+      else
+        y[i] *= slope;
+    }
+    return y;
+  }
+  Tensor backward(const Tensor& g) const {
+    Tensor gx = g;
+    for (std::size_t i = 0; i < gx.numel(); ++i)
+      if (!mask[i]) gx[i] *= slope;
+    return gx;
+  }
+};
+
+TEST_P(TrainKernels, LeakyReLUMatchesMaskLoop) {
+  Rng rng(52);
+  Tensor x = Tensor::uniform(Shape{3, 67}, rng, -1.0f, 1.0f);
+  Tensor g = Tensor::uniform(Shape{3, 67}, rng, -1.0f, 1.0f);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-39f,
+                            -1e-39f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    x[i * 19] = specials[i];
+    g[i * 19 + 1] = specials[i];
+    g[i * 19] = specials[(i + 3) % std::size(specials)];
+  }
+  OldLeakyReLU old{0.2f, {}};
+  nn::LeakyReLU leaky(0.2f);
+  const Tensor y_old = old.forward(x);
+  const Tensor y_new = leaky.forward(x, /*train=*/true);
+  expect_bitwise_eq(y_new.data(), y_old.data(), x.numel());
+  EXPECT_EQ(y_new.shape(), x.shape());
+  // An inference pass keeps the training mask.
+  leaky.forward(Tensor::uniform(Shape{2, 5}, rng, -1.0f, 1.0f), false);
+  const Tensor gx_old = old.backward(g);
+  const Tensor gx_new = leaky.backward(g);
   expect_bitwise_eq(gx_new.data(), gx_old.data(), g.numel());
 }
 
